@@ -9,11 +9,15 @@
 //!   replay, not the later 4096×1024 churn engine; the harness itself
 //!   asserts the ceiling (`scripts/ci.sh` gates `peak_rss_bytes` again);
 //! * `single_thread` — steady-state churn ops/sec at n = 4096, m = 1024
-//!   on the [`IncrementalEngine`] vs the honest from-scratch baseline (a
-//!   full [`FirstFitEngine`] batch re-run after every mutation). The
-//!   baseline op count is *scaled from a probe* of its measured per-op
-//!   cost, so the ratio (`speedup` — the `scripts/ci.sh` gate reads this)
-//!   is averaged over a fixed wall-clock budget instead of a fixed 64 ops;
+//!   on the [`IncrementalEngine`] under its default repack policy vs the
+//!   honest from-scratch baseline (a full [`FirstFitEngine`] batch re-run
+//!   after every mutation). The baseline op count is *scaled from a probe*
+//!   of its measured per-op cost, so the ratio (`speedup` — the
+//!   `scripts/ci.sh` gate compares it with the committed file) is averaged
+//!   over a fixed wall-clock budget instead of a fixed 64 ops. Every churn
+//!   op is also timed on its own: `latency` splits them into adds,
+//!   removes, and ops that ran a divergence-triggered repack, each as
+//!   count/p50/p99/max ns, and `worst_op_ns` is the slowest single op;
 //! * `compaction` — the amortized cost of incremental journal compaction:
 //!   full sliced compactions driven at a fixed op cadence over a churned
 //!   [`DurableEngine`], reported as ns per journaled op;
@@ -128,6 +132,24 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// `count`/`p50`/`p99`/`max` of per-op latencies, as a JSON object.
+fn latency_row(ns: &mut [u64]) -> String {
+    ns.sort_unstable();
+    let at = |q: f64| {
+        let last = ns.len().saturating_sub(1);
+        ns.get((last as f64 * q).round() as usize)
+            .copied()
+            .unwrap_or(0)
+    };
+    format!(
+        "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
+        ns.len(),
+        at(0.5),
+        at(0.99),
+        at(1.0)
+    )
+}
+
 /// The from-scratch churn protocol: `churn` alternating remove/re-add ops,
 /// each followed by a full batch first-fit re-run. Returns wall seconds.
 fn run_from_scratch(tasks: &[Task], platform: &Platform, churn: usize) -> f64 {
@@ -230,12 +252,18 @@ fn main() {
             live.push(id);
         }
     }
-    let incr_churn = 2048usize;
+    // Long enough for a few hundred repacks (one per 256 divergent ops)
+    // and a wall time well above timer noise.
+    let incr_churn = 1usize << 16;
     let mut rng = Rng::from_state(99);
     let mut spare: Vec<Task> = Vec::new();
+    let (mut add_ns, mut remove_ns, mut repack_ns) = (Vec::new(), Vec::new(), Vec::new());
     let started = Instant::now();
     for i in 0..incr_churn {
-        if i % 2 == 0 && !live.is_empty() {
+        let divergence = eng.divergence();
+        let op_started = Instant::now();
+        let removing = i % 2 == 0 && !live.is_empty();
+        if removing {
             let pos = (rng.next_u64() % live.len() as u64) as usize;
             let victim = live.swap_remove(pos);
             if let Some(t) = eng.remove(victim) {
@@ -246,15 +274,38 @@ fn main() {
                 live.push(id);
             }
         }
+        let ns = op_started.elapsed().as_nanos() as u64;
+        // The divergence clock only falls when the op ran a repack.
+        if eng.divergence() < divergence {
+            repack_ns.push(ns);
+        } else if removing {
+            remove_ns.push(ns);
+        } else {
+            add_ns.push(ns);
+        }
     }
     let incr_secs = started.elapsed().as_secs_f64();
     let incr_ops_per_sec = incr_churn as f64 / incr_secs;
+    let worst_op_ns = add_ns
+        .iter()
+        .chain(&remove_ns)
+        .chain(&repack_ns)
+        .copied()
+        .max()
+        .unwrap_or(0);
+    let (add_row, remove_row, repack_row) = (
+        latency_row(&mut add_ns),
+        latency_row(&mut remove_ns),
+        latency_row(&mut repack_ns),
+    );
     eprintln!(
-        "incremental: {incr_churn} churn ops in {:.1} ms ({:.0} ops/s, {} live, divergence {})",
+        "incremental: {incr_churn} churn ops in {:.1} ms ({:.0} ops/s, {} live, divergence {}, \
+         worst op {:.3} ms)\n  add {add_row}\n  remove {remove_row}\n  repack {repack_row}",
         incr_secs * 1e3,
         incr_ops_per_sec,
         eng.len(),
-        eng.divergence()
+        eng.divergence(),
+        worst_op_ns as f64 / 1e6
     );
 
     // From-scratch baseline: same churn protocol, full batch re-run per
@@ -408,7 +459,10 @@ fn main() {
          \"incremental_churn_ops\": {incr_churn}, \"from_scratch_churn_ops\": {scratch_churn},\n    \
          \"incremental_ops_per_sec\": {incr_ops_per_sec:.0},\n    \
          \"from_scratch_ops_per_sec\": {scratch_ops_per_sec:.1},\n    \
-         \"speedup\": {speedup:.1}\n  }},\n  \"compaction\": {{\n    \
+         \"speedup\": {speedup:.1},\n    \
+         \"latency\": {{\n      \"add\": {add_row},\n      \
+         \"remove\": {remove_row},\n      \"repack\": {repack_row}\n    }},\n    \
+         \"worst_op_ns\": {worst_op_ns}\n  }},\n  \"compaction\": {{\n    \
          \"cadence_ops\": {cadence}, \"rounds\": {rounds},\n    \
          \"compact_slices\": {compact_slices}, \"bytes_reclaimed\": {bytes_reclaimed},\n    \
          \"compaction_amortized_ns_per_op\": {compaction_amortized_ns_per_op:.0}\n  }},\n  \

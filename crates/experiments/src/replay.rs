@@ -25,7 +25,7 @@
 //! after a repack.
 
 use hetfeas_model::{
-    Augmentation, OpStream, OpTrace, Platform, Task, TraceEvent, TraceInstance, TraceOp,
+    Augmentation, IdMap, OpStream, OpTrace, Platform, Task, TraceEvent, TraceInstance, TraceOp,
 };
 use hetfeas_obs::MetricsSink;
 use hetfeas_par::{par_map_with, Progress};
@@ -157,8 +157,8 @@ impl std::fmt::Display for ReplayError {
 /// protocol implementation, not two.
 pub struct InstanceReplayer<A: IndexableAdmission> {
     eng: IncrementalEngine<A>,
-    ids: HashMap<u64, TaskId>,
-    snap: Option<(IncrSnapshot<A>, HashMap<u64, TaskId>)>,
+    ids: IdMap<TaskId>,
+    snap: Option<(IncrSnapshot<A>, IdMap<TaskId>)>,
     stats: ReplayStats,
     op_index: usize,
 }
@@ -168,7 +168,7 @@ impl<A: IndexableAdmission> InstanceReplayer<A> {
     pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
         InstanceReplayer {
             eng: IncrementalEngine::new(admission, platform, alpha),
-            ids: HashMap::new(),
+            ids: IdMap::default(),
             snap: None,
             stats: ReplayStats::default(),
             op_index: 0,
@@ -355,8 +355,8 @@ where
         sink,
     )
     .map_err(durable_err(0))?;
-    let mut ids: HashMap<u64, TaskId> = HashMap::new();
-    let mut ids_snap: Option<HashMap<u64, TaskId>> = None;
+    let mut ids: IdMap<TaskId> = IdMap::default();
+    let mut ids_snap: Option<IdMap<TaskId>> = None;
     let mut stats = ReplayStats::default();
     for (op_index, op) in inst.ops.iter().enumerate() {
         apply_durable_op(
@@ -379,8 +379,8 @@ where
 #[allow(clippy::too_many_arguments)]
 fn apply_durable_op<A, S>(
     eng: &mut DurableEngine<A>,
-    ids: &mut HashMap<u64, TaskId>,
-    ids_snap: &mut Option<HashMap<u64, TaskId>>,
+    ids: &mut IdMap<TaskId>,
+    ids_snap: &mut Option<IdMap<TaskId>>,
     stats: &mut ReplayStats,
     op_index: usize,
     op: &TraceOp,
@@ -566,8 +566,8 @@ where
     let mut store = Some(store);
     let mut admission = Some(admission);
     let mut current: Option<(String, DurableEngine<A>)> = None;
-    let mut ids: HashMap<u64, TaskId> = HashMap::new();
-    let mut ids_snap: Option<HashMap<u64, TaskId>> = None;
+    let mut ids: IdMap<TaskId> = IdMap::default();
+    let mut ids_snap: Option<IdMap<TaskId>> = None;
     let mut stats = ReplayStats::default();
     let mut op_index = 0usize;
     let mut finished: Option<(String, ReplayStats, u32)> = None;

@@ -2,6 +2,8 @@
 //! the digests and stats of the materialized text-trace path — on every
 //! prefix of the op sequence, on multi-instance traces, and through the
 //! durable journaled path with incremental compaction slices in flight.
+//! One fixed trace's digests and repack counters are also pinned to
+//! literals, so a change that moves both paths alike still shows.
 
 use hetfeas_experiments::{
     combine_digests, replay_durable, replay_durable_stream, replay_instance_digest, replay_stream,
@@ -166,4 +168,83 @@ fn durable_stream_matches_durable_replay_under_sliced_compaction() {
     assert_eq!(got_stats.ops, want_stats.ops);
     assert_eq!(got_stats.admitted, want_stats.admitted);
     assert_eq!(got_stats.rollbacks, want_stats.rollbacks);
+}
+
+/// Per-instance digests of a streamed replay under `admission`, and the
+/// run's repack and placement counters: `incr.repacks`,
+/// `incr.repack_infeasible`, then the `ff.placed`, `ff.admission_checks`,
+/// `engine.exact_checks` and `ff.workspace_allocs` the repacks emit.
+fn pinned_run<A>(trace: &OpTrace, admission: A) -> (Vec<u32>, [u64; 6])
+where
+    A: hetfeas_partition::IndexableAdmission + Clone,
+{
+    use hetfeas_partition::metrics as pm;
+    let bytes = write_op_trace_bin(trace, Vec::new()).expect("encode");
+    let mut stream = OpStream::new(&bytes[..]).expect("header");
+    let sink = hetfeas_obs::MemorySink::new();
+    let digests = replay_stream(
+        &mut stream,
+        admission,
+        Augmentation::NONE,
+        &mut Gas::unlimited(),
+        &sink,
+    )
+    .expect("stream replays")
+    .iter()
+    .map(|s| s.digest)
+    .collect();
+    let counters = [
+        pm::INCR_REPACKS,
+        pm::INCR_REPACK_INFEASIBLE,
+        pm::FF_PLACED,
+        pm::FF_ADMISSION_CHECKS,
+        pm::ENGINE_EXACT_CHECKS,
+        pm::FF_WORKSPACE_ALLOCS,
+    ]
+    .map(|name| sink.counter(name));
+    (digests, counters)
+}
+
+/// The streamed digests of a fixed synth trace, pinned to literals with
+/// the repack counters. The digest covers every placement, resident
+/// order and the canonical frontier, so any drift in the online engine's
+/// add, remove or repack path shows here, not only a disagreement
+/// between two replay paths.
+#[test]
+fn stream_digests_are_pinned() {
+    let mut s = SynthSpec {
+        seed: 5,
+        ops_per_instance: 1 << 14,
+        instances: 3,
+        machines: 2,
+        max_live: 256,
+        snapshot_every_ops: 1500,
+        rollback_per_mille: 20,
+        repack_every_ops: 2000,
+        adversarial_per_mille: 30,
+        ..SynthSpec::default()
+    };
+    for case in FaultPlan::new(5).cases() {
+        s.adversarial.extend_from_slice(case.tasks.as_slice());
+    }
+    let trace = OpTrace {
+        instances: (0..s.instances).map(|i| materialize(&s, i)).collect(),
+    };
+    let edf = pinned_run(&trace, EdfAdmission);
+    let rms = pinned_run(&trace, RmsLlAdmission);
+    // RMS-LL on two machines also exercises the infeasible repack.
+    assert_eq!(
+        edf,
+        (
+            vec![0x008b_edc3, 0x9f0e_a21f, 0xa527_432a],
+            [55, 0, 423, 638, 423, 9]
+        )
+    );
+    assert_eq!(
+        rms,
+        (
+            vec![0x93e5_fad2, 0x7ae1_c7f1, 0x9449_a661],
+            [78, 2, 331, 509, 331, 9]
+        )
+    );
 }

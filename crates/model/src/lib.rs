@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod idmap;
 pub mod io;
 mod machine;
 mod ratio;
@@ -36,6 +37,7 @@ mod taskset;
 pub mod time;
 
 pub use error::ModelError;
+pub use idmap::{IdHasher, IdMap};
 pub use io::bin::{
     is_binary_trace, read_op_trace_bin, write_op_trace_bin, BinTraceError, OpStream, TraceEvent,
     TraceWriter,

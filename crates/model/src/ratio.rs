@@ -274,17 +274,46 @@ impl Ord for Ratio {
         // Cross-reduce to avoid overflow in the common case.
         let g1 = gcd_i128(self.num.abs(), other.num.abs()).max(1);
         let g2 = gcd_i128(self.den, other.den).max(1);
-        let lhs = (self.num / g1).checked_mul(other.den / g2);
-        let rhs = (other.num / g1).checked_mul(self.den / g2);
-        match (lhs, rhs) {
+        let (a, b) = (self.num / g1, self.den / g2);
+        let (c, d) = (other.num / g1, other.den / g2);
+        match (a.checked_mul(d), c.checked_mul(b)) {
             (Some(l), Some(r)) => l.cmp(&r),
-            // Fall back to f64 ordering only on pathological overflow.
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
+            _ => cmp_cross_wide(a, b, c, d),
         }
     }
+}
+
+/// `a/b` vs `c/d` (`b, d > 0`) when a cross product leaves `i128`: decide
+/// by sign, then compare the magnitudes as exact 256-bit products. Kept
+/// out of line so the common path of `Ratio::cmp` stays small.
+#[cold]
+#[inline(never)]
+fn cmp_cross_wide(a: i128, b: i128, c: i128, d: i128) -> Ordering {
+    let sign = a.signum();
+    if sign != c.signum() {
+        return sign.cmp(&c.signum());
+    }
+    let l = mul_wide(a.unsigned_abs(), d.unsigned_abs());
+    let r = mul_wide(c.unsigned_abs(), b.unsigned_abs());
+    if sign < 0 {
+        r.cmp(&l)
+    } else {
+        l.cmp(&r)
+    }
+}
+
+/// The full 256-bit product `a·b` as `(high, low)` 128-bit halves, so
+/// tuple order is numeric order.
+fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+    const LO: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LO);
+    let (b1, b0) = (b >> 64, b & LO);
+    let (p00, p01, p10, p11) = (a0 * b0, a0 * b1, a1 * b0, a1 * b1);
+    // Bits 64..128: three terms below 2^64 each, so no overflow.
+    let mid = (p00 >> 64) + (p01 & LO) + (p10 & LO);
+    let low = (p00 & LO) | (mid << 64);
+    let high = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+    (high, low)
 }
 
 impl Add for Ratio {
@@ -466,6 +495,30 @@ mod tests {
         let b = Ratio::new(1, 2);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
+    }
+
+    #[test]
+    fn ordering_is_exact_past_i128_cross_products() {
+        // (2^64-1)(2^64-3) = 2^128 - 2^66 + 3 < (2^64-2)^2 = 2^128 - 2^66 + 4:
+        // both cross products overflow i128 and their f64 images are equal.
+        let a = Ratio::new(u64::MAX as i128, (u64::MAX - 1) as i128);
+        let b = Ratio::new((u64::MAX - 1) as i128, (u64::MAX - 2) as i128);
+        assert!(a < b);
+        assert!(b > a);
+        assert!(-a > -b);
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+        assert!(-a < b);
+        let huge = Ratio::new(i128::MAX, i128::MAX - 1);
+        assert!(huge > Ratio::ONE);
+        assert!(huge < Ratio::new(i128::MAX - 1, i128::MAX - 2));
+    }
+
+    #[test]
+    fn mul_wide_matches_schoolbook() {
+        assert_eq!(mul_wide(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
+        assert_eq!(mul_wide(1 << 64, 1 << 64), (1, 0));
+        assert_eq!(mul_wide(3, 5), (0, 15));
+        assert_eq!(mul_wide(u128::MAX, 2), (1, u128::MAX - 1));
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl TaskSet {
         self.tasks.push(task);
     }
 
+    /// Remove every task, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.tasks.clear();
+    }
+
     /// Task at `index`, if any.
     #[inline]
     pub fn get(&self, index: usize) -> Option<&Task> {
@@ -155,11 +160,9 @@ impl TaskSet {
     /// division or gcd. Equal keys fall back to the exact `u128`
     /// cross-multiplication `c_a·p_b` vs `c_b·p_a` (never overflows: both
     /// factors are `u64`), then the original index. The resulting order is
-    /// the exact decreasing-utilization order and matches
-    /// [`TaskSet::order_by_decreasing_utilization`] whenever the rational
-    /// comparison stays inside `i128` (its documented pathological-overflow
-    /// f64 fallback can misorder near-equal huge coprime ratios; this path
-    /// cannot). `keys` is scratch space so repeated sorts allocate nothing.
+    /// the exact decreasing-utilization order, equal to
+    /// [`TaskSet::order_by_decreasing_utilization`] for every set. `keys`
+    /// is scratch space so repeated sorts allocate nothing.
     pub fn order_by_decreasing_utilization_keyed_into(
         &self,
         keys: &mut Vec<(u128, usize)>,
@@ -339,18 +342,33 @@ mod tests {
         };
         let mut keys = Vec::new();
         let mut keyed = Vec::new();
-        for round in 0..40 {
+        for round in 0..50 {
             let n = 1 + (next() % 64) as usize;
-            let cap = [10u64, 1_000, 1_000_000, 1 << 40][round % 4];
-            let ts = TaskSet::from_pairs((0..n).map(|_| {
-                let p = 1 + next() % cap;
-                let c = 1 + next() % p.max(1);
-                (c, p)
-            }))
+            let ts = if round % 5 == 4 {
+                // Near u64::MAX: cross products overflow i128, and many
+                // utilizations sit within an ulp of 1.
+                TaskSet::from_pairs((0..n).map(|_| {
+                    let p = u64::MAX - next() % 64;
+                    (p - next() % 4, p)
+                }))
+            } else {
+                let cap = [10u64, 1_000, 1_000_000, 1 << 40][round % 5];
+                TaskSet::from_pairs((0..n).map(|_| {
+                    let p = 1 + next() % cap;
+                    let c = 1 + next() % p.max(1);
+                    (c, p)
+                }))
+            }
             .unwrap();
             ts.order_by_decreasing_utilization_keyed_into(&mut keys, &mut keyed);
             assert_eq!(keyed, ts.order_by_decreasing_utilization(), "round {round}");
         }
+        // Cross products past i128: (2^64-1)/(2^64-2) < (2^64-2)/(2^64-3).
+        let ts =
+            TaskSet::from_pairs([(u64::MAX, u64::MAX - 1), (u64::MAX - 1, u64::MAX - 2)]).unwrap();
+        ts.order_by_decreasing_utilization_keyed_into(&mut keys, &mut keyed);
+        assert_eq!(keyed, vec![1, 0]);
+        assert_eq!(ts.order_by_decreasing_utilization(), vec![1, 0]);
         // Exact ties (1/3 == 2/6 == 4/12) keep original index order.
         let ts = TaskSet::from_pairs([(2, 6), (1, 3), (4, 12), (1, 2)]).unwrap();
         ts.order_by_decreasing_utilization_keyed_into(&mut keys, &mut keyed);

@@ -202,6 +202,11 @@ impl MaxTree {
         }
     }
 
+    /// Capacity of the value array, for workspace-growth accounting.
+    pub(crate) fn capacity(&self) -> usize {
+        self.values.capacity()
+    }
+
     /// Set value `i` to `v` and repair the block max plus its ancestors.
     pub(crate) fn update(&mut self, i: usize, v: f64) {
         self.values[i] = v;

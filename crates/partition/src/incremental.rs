@@ -30,30 +30,36 @@
 //!
 //! The engine therefore tracks a divergence counter:
 //!
-//! * an add whose utilization is ≤ every live task's (compared as exact
-//!   rationals, matching the batch sort's tie-breaking) *appends* to the
-//!   canonical order — FFD would place it last and see exactly the
+//! * an add whose utilization is ≤ every live task's (compared exactly, as
+//!   the integer cross product `c·den ≤ num·p` against the last canonical
+//!   task's `num/den`, matching the batch sort's tie-breaking) *appends*
+//!   to the canonical order — FFD would place it last and see exactly the
 //!   current machine states, so the assignment stays canonical for free;
 //! * any other add, and every remove, bumps the counter;
 //! * when the counter exceeds [`RepairPolicy::repack_after`], the engine
-//!   falls back to a counted full repack: from-scratch FFD (via the batch
-//!   [`crate::FirstFitEngine`]) over the survivors. After a repack the
-//!   assignment is **byte-identical** to [`crate::first_fit_ordered`] on
-//!   the survivor set — `tests/prop_incremental.rs` asserts this — so the
-//!   paper's guarantee is restored with bounded staleness.
+//!   falls back to a counted full repack: from-scratch FFD over the
+//!   survivors, run inside the engine. The survivors are sorted once by
+//!   the exact integer keys of
+//!   [`TaskSet::order_by_decreasing_utilization_keyed_into`], then placed
+//!   by the same tree descent and exact re-check `add` uses, into scratch
+//!   machine states and a scratch tree. After a repack the assignment is
+//!   **byte-identical** to [`crate::first_fit_ordered`] on the survivor
+//!   set — `tests/prop_incremental.rs` asserts this — so the paper's
+//!   guarantee is restored with bounded staleness.
 //!
 //! A repack can come back infeasible even though the live assignment is
-//! valid (first-fit is order-sensitive and non-optimal). The engine then
-//! keeps the current assignment, counts `incr.repack_infeasible`, and
-//! resets the divergence clock.
+//! valid (first-fit is order-sensitive and non-optimal). The scratch
+//! states are then never swapped in, so the engine keeps the current
+//! assignment untouched; it counts `incr.repack_infeasible` and resets the
+//! divergence clock.
 
-use crate::assignment::{Assignment, Outcome};
-use crate::engine::{FirstFitEngine, IndexableAdmission, MaxTree};
+use crate::assignment::Assignment;
+use crate::engine::{IndexableAdmission, MaxTree};
 use crate::metrics;
-use hetfeas_model::{Augmentation, Platform, Ratio, Task, TaskSet};
+use hetfeas_model::{Augmentation, IdMap, Platform, Ratio, Task, TaskSet};
 use hetfeas_obs::MetricsSink;
 use hetfeas_robust::{Exhaustion, Gas};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// Opaque handle to a live task inside an [`IncrementalEngine`]. Ids are
 /// allocated sequentially per engine and never reused — except across a
@@ -160,7 +166,7 @@ struct Core<A: IndexableAdmission> {
     /// entry. Order = canonical tie-breaking order for the batch sort.
     live: Vec<Option<(TaskId, Task)>>,
     /// id → position in `live` + machine slot.
-    index: HashMap<u64, Entry>,
+    index: IdMap<Entry>,
     /// Ids resident on each machine slot, in admission order.
     on_slot: Vec<Vec<u64>>,
     /// Per-slot admission states.
@@ -255,11 +261,102 @@ pub struct IncrementalEngine<A: IndexableAdmission> {
     /// α-augmented speeds in scan order.
     speeds: Vec<f64>,
     policy: RepairPolicy,
-    /// Batch engine reused for repacks (owns the admission test).
-    ff: FirstFitEngine<A>,
+    /// The per-machine admission test.
+    admission: A,
     core: Core<A>,
-    /// Scratch for tree rebuilds.
+    /// Repack workspaces, reused across repacks.
+    scratch: RepackScratch<A>,
+}
+
+/// Workspaces a repack reuses: the survivor set and its sort order, and
+/// the machine states and tree the placement writes into. They are
+/// swapped with the core's only when every survivor fits.
+struct RepackScratch<A: IndexableAdmission> {
+    survivors: TaskSet,
+    /// Raw ids, parallel to `survivors`.
+    ids: Vec<u64>,
+    keys: Vec<(u128, usize)>,
+    order: Vec<usize>,
+    /// Scan slot of each survivor, parallel to `survivors`.
+    slots: Vec<usize>,
+    states: Vec<A::State>,
     hints: Vec<f64>,
+    tree: MaxTree,
+}
+
+/// Work one or more first-fit placements did.
+#[derive(Default)]
+struct PlaceWork {
+    /// Tree descents (one per query, including resumed ones).
+    descents: u64,
+    /// Exact `admit` re-checks of tree candidates.
+    exact: u64,
+    /// Candidates the hint passed but `admit` rejected.
+    misses: u64,
+}
+
+/// Place `task` on the first slot that admits it: descend the tree to the
+/// leftmost slot whose residual hint reaches the task's utilization,
+/// re-check it with the exact `admit`, and resume to its right on a miss.
+/// The admitting slot's state and hint are updated. `add` and the repack
+/// both place through here, in the batch engine's order of operations,
+/// so their placements are the batch test's.
+fn place<A: IndexableAdmission>(
+    admission: &A,
+    states: &mut [A::State],
+    tree: &mut MaxTree,
+    speeds: &[f64],
+    task: &Task,
+    work: &mut PlaceWork,
+) -> Option<usize> {
+    let u = task.utilization();
+    let mut from = 0usize;
+    loop {
+        work.descents += 1;
+        let slot = tree.first_at_least(from, u)?;
+        work.exact += 1;
+        if let Some(next) = admission.admit(&states[slot], task, speeds[slot]) {
+            tree.update(slot, admission.residual_hint(&next, speeds[slot]));
+            states[slot] = next;
+            return Some(slot);
+        }
+        work.misses += 1;
+        from = slot + 1;
+    }
+}
+
+/// Rebuild `tree` over the residual hints of `states`, with `hints` as
+/// scratch.
+fn rebuild_tree<A: IndexableAdmission>(
+    admission: &A,
+    states: &[A::State],
+    speeds: &[f64],
+    hints: &mut Vec<f64>,
+    tree: &mut MaxTree,
+) {
+    hints.clear();
+    hints.extend(
+        states
+            .iter()
+            .zip(speeds)
+            .map(|(st, &sp)| admission.residual_hint(st, sp)),
+    );
+    tree.rebuild(hints);
+}
+
+/// `task`'s utilization against the exact rational `frontier`, compared as
+/// the integer cross product `c·den` vs `num·p` — no gcd, no division.
+fn utilization_cmp(task: &Task, frontier: &Ratio) -> Ordering {
+    match (
+        u64::try_from(frontier.numer()),
+        u64::try_from(frontier.denom()),
+    ) {
+        (Ok(num), Ok(den)) => (u128::from(task.wcet()) * u128::from(den))
+            .cmp(&(u128::from(num) * u128::from(task.period()))),
+        // Engine frontiers are task utilizations, so both parts fit in
+        // u64; only an imported state can carry anything else.
+        _ => task.utilization_ratio().cmp(frontier),
+    }
 }
 
 impl<A: IndexableAdmission> IncrementalEngine<A> {
@@ -287,13 +384,8 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             .map(|&mi| alpha.factor() * platform.speed_f64(mi))
             .collect();
         let states: Vec<A::State> = (0..m).map(|_| admission.empty_state()).collect();
-        let hints: Vec<f64> = states
-            .iter()
-            .zip(&speeds)
-            .map(|(st, &sp)| admission.residual_hint(st, sp))
-            .collect();
         let mut tree = MaxTree::default();
-        tree.rebuild(&hints);
+        rebuild_tree(&admission, &states, &speeds, &mut Vec::new(), &mut tree);
         IncrementalEngine {
             platform: platform.clone(),
             alpha,
@@ -301,10 +393,10 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             slot_of_machine,
             speeds,
             policy,
-            ff: FirstFitEngine::new(admission),
+            admission,
             core: Core {
                 live: Vec::new(),
-                index: HashMap::new(),
+                index: IdMap::default(),
                 on_slot: vec![Vec::new(); m],
                 states,
                 tree,
@@ -314,13 +406,22 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
                 canonical: true,
                 frontier: None,
             },
-            hints,
+            scratch: RepackScratch {
+                survivors: TaskSet::empty(),
+                ids: Vec::new(),
+                keys: Vec::new(),
+                order: Vec::new(),
+                slots: Vec::new(),
+                states: Vec::new(),
+                hints: Vec::new(),
+                tree: MaxTree::default(),
+            },
         }
     }
 
     /// The admission test in use.
     pub fn admission(&self) -> &A {
-        self.ff.admission()
+        &self.admission
     }
 
     /// The platform the engine packs onto.
@@ -440,34 +541,19 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         sink: &S,
     ) -> Result<AddOutcome, Exhaustion> {
         gas.tick()?;
-        let u = task.utilization();
-        let mut descents = 0u64;
-        let mut exact = 0u64;
-        let mut misses = 0u64;
-        let mut from = 0usize;
-        let placed = loop {
-            descents += 1;
-            let Some(slot) = self.core.tree.first_at_least(from, u) else {
-                break None;
-            };
-            exact += 1;
-            if let Some(next) =
-                self.ff
-                    .admission()
-                    .admit(&self.core.states[slot], &task, self.speeds[slot])
-            {
-                let hint = self.ff.admission().residual_hint(&next, self.speeds[slot]);
-                self.core.states[slot] = next;
-                self.core.tree.update(slot, hint);
-                break Some(slot);
-            }
-            misses += 1;
-            from = slot + 1;
-        };
+        let mut work = PlaceWork::default();
+        let placed = place(
+            &self.admission,
+            &mut self.core.states,
+            &mut self.core.tree,
+            &self.speeds,
+            &task,
+            &mut work,
+        );
         if S::ENABLED {
-            sink.counter_add(metrics::INCR_TREE_DESCENTS, descents);
-            sink.counter_add(metrics::INCR_EXACT_CHECKS, exact);
-            sink.counter_add(metrics::INCR_REVERIFY_MISSES, misses);
+            sink.counter_add(metrics::INCR_TREE_DESCENTS, work.descents);
+            sink.counter_add(metrics::INCR_EXACT_CHECKS, work.exact);
+            sink.counter_add(metrics::INCR_REVERIFY_MISSES, work.misses);
         }
         let Some(slot) = placed else {
             if S::ENABLED {
@@ -482,16 +568,20 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         self.core.index.insert(id.0, Entry { live_idx, slot });
         self.core.on_slot[slot].push(id.0);
         self.core.live_count += 1;
-        // Canonical accounting: a task no heavier (exact rational, the
-        // batch sort's comparison) than every live task appends to the FFD
-        // order — the batch test would place it last, seeing exactly the
-        // machine states it was just admitted against.
-        let ur = task.utilization_ratio();
-        if self.core.canonical && self.core.frontier.is_none_or(|f| ur <= f) {
-            self.core.frontier = Some(ur);
-        } else {
+        // Canonical accounting: a task no heavier (exactly, the batch
+        // sort's comparison) than every live task appends to the FFD order
+        // — the batch test would place it last, seeing exactly the machine
+        // states it was just admitted against.
+        let vs_frontier = self
+            .core
+            .frontier
+            .as_ref()
+            .map(|f| utilization_cmp(&task, f));
+        if !self.core.canonical || vs_frontier == Some(Ordering::Greater) {
             self.core.canonical = false;
             self.core.divergence += 1;
+        } else if vs_frontier != Some(Ordering::Equal) {
+            self.core.frontier = Some(task.utilization_ratio());
         }
         if S::ENABLED {
             sink.counter_add(metrics::INCR_ADDS, 1);
@@ -549,7 +639,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             tree,
             ..
         } = &mut self.core;
-        let st = self.ff.admission().fold_state(
+        let st = self.admission.fold_state(
             on_slot[slot].iter().map(|x| {
                 &live[index[x].live_idx]
                     .as_ref()
@@ -558,7 +648,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             }),
             self.speeds[slot],
         );
-        let hint = self.ff.admission().residual_hint(&st, self.speeds[slot]);
+        let hint = self.admission.residual_hint(&st, self.speeds[slot]);
         states[slot] = st;
         tree.update(slot, hint);
         self.core.canonical = false;
@@ -577,89 +667,136 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
         Ok(Some(task))
     }
 
-    /// Re-pack the survivors canonically (from-scratch FFD via the batch
-    /// engine) regardless of the divergence counter.
+    /// Re-pack the survivors canonically (from-scratch FFD) regardless of
+    /// the divergence counter.
     pub fn force_repack(&mut self) -> RepackOutcome {
         self.repack_within_with(&mut Gas::unlimited(), &())
             .expect("unlimited gas cannot exhaust")
     }
 
     /// [`Self::force_repack`] under a budget, with metrics. Gas is charged
-    /// `n + m + 1` up front (a repack is `O((n+m)·log m)` work); on `Err`
-    /// the engine state is unchanged.
+    /// `n + m + 1` up front (a repack is `O(n log n + (n+m)·log m)` work);
+    /// on `Err` the engine state is unchanged.
+    ///
+    /// The repack emits the `ff.*`/`engine.*` counters the batch
+    /// [`crate::FirstFitEngine::run_with`] emits for the same survivors —
+    /// the placement sequence is the same, so the numbers are too.
     pub fn repack_within_with<S: MetricsSink>(
         &mut self,
         gas: &mut Gas,
         sink: &S,
     ) -> Result<RepackOutcome, Exhaustion> {
         gas.tick_n((self.core.live_count + self.platform.len()) as u64 + 1)?;
-        let survivors = self.live_tasks();
-        let ids = self.live_ids();
-        let outcome = self
-            .ff
-            .run_with(&survivors, &self.platform, self.alpha, sink);
-        let asg = match outcome {
-            Outcome::Feasible(asg) => asg,
-            _ => {
-                if S::ENABLED {
-                    sink.counter_add(metrics::INCR_REPACK_INFEASIBLE, 1);
-                }
-                // Keep the valid current assignment; restart the
-                // divergence clock so the next trigger waits a full window
-                // instead of re-attempting on every op.
-                self.core.divergence = 0;
-                return Ok(RepackOutcome::Infeasible);
+        let m = self.platform.len();
+        let admission = &self.admission;
+        let sc = &mut self.scratch;
+        let caps = (
+            sc.states.capacity(),
+            sc.hints.capacity(),
+            sc.tree.capacity(),
+        );
+        sc.survivors.clear();
+        sc.ids.clear();
+        for &(id, task) in self.core.live.iter().flatten() {
+            sc.survivors.push(task);
+            sc.ids.push(id.0);
+        }
+        sc.survivors
+            .order_by_decreasing_utilization_keyed_into(&mut sc.keys, &mut sc.order);
+        sc.states.clear();
+        sc.states.extend((0..m).map(|_| admission.empty_state()));
+        rebuild_tree(
+            admission,
+            &sc.states,
+            &self.speeds,
+            &mut sc.hints,
+            &mut sc.tree,
+        );
+        if S::ENABLED {
+            let grown = u64::from(sc.states.capacity() != caps.0)
+                + u64::from(sc.hints.capacity() != caps.1)
+                + u64::from(sc.tree.capacity() != caps.2);
+            if grown > 0 {
+                sink.counter_add(metrics::FF_WORKSPACE_ALLOCS, grown);
             }
-        };
-        // Commit: rebuild the whole core from the canonical assignment.
-        let order = survivors.order_by_decreasing_utilization();
-        let admission = self.ff.admission();
-        for slot in 0..self.platform.len() {
-            self.core.states[slot] = admission.empty_state();
-            self.core.on_slot[slot].clear();
         }
-        for &ti in &order {
-            let mi = asg.machine_of(ti).expect("feasible assignment is complete");
-            let slot = self.slot_of_machine[mi];
-            let next = self
-                .ff
-                .admission()
-                .admit(&self.core.states[slot], &survivors[ti], self.speeds[slot])
-                .expect("replaying the engine's own placement cannot be rejected");
-            self.core.states[slot] = next;
-            self.core.on_slot[slot].push(ids[ti].0);
-        }
-        self.hints.clear();
-        let admission = self.ff.admission();
-        self.hints.extend(
-            self.core
-                .states
-                .iter()
-                .zip(&self.speeds)
-                .map(|(st, &sp)| admission.residual_hint(st, sp)),
-        );
-        self.core.tree.rebuild(&self.hints);
-        self.core.live.clear();
-        self.core.live.extend(
-            ids.iter()
-                .zip(survivors.iter())
-                .map(|(&id, &t)| Some((id, t))),
-        );
-        self.core.index.clear();
-        for (live_idx, &id) in ids.iter().enumerate() {
-            // Dense survivor index == live index after compaction.
-            self.core.index.insert(
-                id.0,
-                Entry {
-                    live_idx,
-                    slot: self.slot_of_machine
-                        [asg.machine_of(live_idx).expect("complete assignment")],
-                },
+
+        // First fit in decreasing-utilization order. `ff.*` counts are in
+        // reference-scan units: a task placed at slot `s` costs `s + 1`
+        // checks, a task that fits nowhere costs `m`.
+        let mut work = PlaceWork::default();
+        let mut scan_checks = 0u64;
+        let mut placed = 0u64;
+        sc.slots.clear();
+        sc.slots.resize(sc.survivors.len(), 0);
+        let feasible = sc.order.iter().all(|&ti| {
+            let slot = place(
+                admission,
+                &mut sc.states,
+                &mut sc.tree,
+                &self.speeds,
+                &sc.survivors[ti],
+                &mut work,
             );
+            let checks = slot.map_or(m, |s| s + 1) as u64;
+            if S::ENABLED {
+                scan_checks += checks;
+                sink.observe(metrics::FF_CHECKS_PER_TASK, checks);
+            }
+            if let Some(s) = slot {
+                sc.slots[ti] = s;
+                placed += 1;
+            }
+            slot.is_some()
+        });
+        if S::ENABLED {
+            sink.counter_add(metrics::FF_ADMISSION_CHECKS, scan_checks);
+            sink.counter_add(metrics::FF_MACHINES_VISITED, scan_checks);
+            sink.counter_add(metrics::FF_PLACED, placed);
+            sink.counter_add(metrics::ENGINE_TREE_DESCENTS, work.descents);
+            sink.counter_add(metrics::ENGINE_EXACT_CHECKS, work.exact);
+            sink.counter_add(metrics::ENGINE_REVERIFY_MISSES, work.misses);
         }
-        self.core.frontier = order.last().map(|&ti| survivors[ti].utilization_ratio());
-        self.core.canonical = true;
-        self.core.divergence = 0;
+        if !feasible {
+            if S::ENABLED {
+                sink.counter_add(metrics::INCR_REPACK_INFEASIBLE, 1);
+            }
+            // Keep the valid current assignment (the scratch states were
+            // never swapped in); restart the divergence clock so the next
+            // trigger waits a full window instead of re-attempting on
+            // every op.
+            self.core.divergence = 0;
+            return Ok(RepackOutcome::Infeasible);
+        }
+
+        // Commit: swap in the new machine states and tree, then rewrite
+        // the resident lists (in placement order), the compacted
+        // insertion log and the index.
+        let core = &mut self.core;
+        std::mem::swap(&mut core.states, &mut sc.states);
+        std::mem::swap(&mut core.tree, &mut sc.tree);
+        for residents in &mut core.on_slot {
+            residents.clear();
+        }
+        for &ti in &sc.order {
+            core.on_slot[sc.slots[ti]].push(sc.ids[ti]);
+        }
+        core.live.clear();
+        core.live.extend(
+            sc.ids
+                .iter()
+                .zip(sc.survivors.iter())
+                .map(|(&id, &t)| Some((TaskId(id), t))),
+        );
+        for (live_idx, (id, &slot)) in sc.ids.iter().zip(&sc.slots).enumerate() {
+            *core.index.get_mut(id).expect("survivors are indexed") = Entry { live_idx, slot };
+        }
+        core.frontier = sc
+            .order
+            .last()
+            .map(|&ti| sc.survivors[ti].utilization_ratio());
+        core.canonical = true;
+        core.divergence = 0;
         if S::ENABLED {
             sink.counter_add(metrics::INCR_REPACKS, 1);
         }
@@ -756,7 +893,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
             ));
         }
         let mut live = Vec::with_capacity(state.entries.len());
-        let mut index = HashMap::with_capacity(state.entries.len());
+        let mut index = IdMap::with_capacity_and_hasher(state.entries.len(), Default::default());
         for (live_idx, &(id, task)) in state.entries.iter().enumerate() {
             if id >= state.next_id {
                 return Err(format!("task id {id} not below next id {}", state.next_id));
@@ -794,7 +931,7 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
                 }
             }
         }
-        let admission = self.ff.admission();
+        let admission = &self.admission;
         let states: Vec<A::State> = on_slot
             .iter()
             .zip(&self.speeds)
@@ -810,13 +947,8 @@ impl<A: IndexableAdmission> IncrementalEngine<A> {
                 )
             })
             .collect();
-        let hints: Vec<f64> = states
-            .iter()
-            .zip(&self.speeds)
-            .map(|(st, &sp)| admission.residual_hint(st, sp))
-            .collect();
         let mut tree = MaxTree::default();
-        tree.rebuild(&hints);
+        rebuild_tree(admission, &states, &self.speeds, &mut Vec::new(), &mut tree);
         Ok(Core {
             live_count: state.entries.len(),
             live,

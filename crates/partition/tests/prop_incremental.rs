@@ -3,22 +3,30 @@
 //!
 //! 1. **Repack equivalence** — after a forced repack, the incremental
 //!    assignment over the survivors is byte-identical to a from-scratch
-//!    [`first_fit_ordered`] run on the same survivor set (EDF and RMS-LL).
+//!    [`first_fit_ordered`] run on the same survivor set (EDF, RMS-LL and
+//!    hyperbolic); a repack that comes back infeasible leaves the engine's
+//!    observable state and its placements untouched.
 //! 2. **Rollback idempotence** — rolling back to a snapshot restores the
 //!    engine's full observable state (assignment, per-machine loads,
 //!    canonicality, live ids), and rolling back twice changes nothing.
 //! 3. **Canonical appends need no repack** — a stream of decreasing-
 //!    utilization adds stays canonical with zero divergence, and its
 //!    assignment already matches from-scratch without any repack.
+//! 4. **Repack counters** — a repack emits exactly the `ff.*`/`engine.*`
+//!    counters and histograms [`FirstFitEngine::run_with`] emits on the
+//!    same survivors, workspace growth included.
 //!
 //! The generator is the workspace's fixed-seed [`Rng`].
 
 use hetfeas_model::rng::Rng;
 use hetfeas_model::{Augmentation, Platform, Task};
+use hetfeas_obs::{HistogramSnapshot, MemorySink};
 use hetfeas_partition::{
-    first_fit_ordered, Assignment, EdfAdmission, IncrementalEngine, IndexableAdmission, Outcome,
-    RepackOutcome, RmsLlAdmission, TaskId,
+    first_fit_ordered, Assignment, EdfAdmission, FirstFitEngine, IncrementalEngine,
+    IndexableAdmission, Outcome, RepackOutcome, RepairPolicy, RmsHyperbolicAdmission,
+    RmsLlAdmission, TaskId,
 };
+use hetfeas_robust::Gas;
 
 /// Dense per-task placement vector for byte-identical comparisons.
 fn placements(a: &Assignment, n: usize) -> Vec<Option<usize>> {
@@ -73,6 +81,27 @@ fn churn<A: IndexableAdmission>(
     live
 }
 
+/// After an infeasible repack the engine must be exactly as before it,
+/// apart from the reset divergence clock: same observation, and the same
+/// placement for the next add as the pre-repack snapshot gives.
+fn check_infeasible_repack_untouched<A: IndexableAdmission>(
+    eng: &mut IncrementalEngine<A>,
+    before: Observed,
+    probe: Task,
+    context: &str,
+) {
+    let (placements, loads, canonical, _) = before;
+    assert_eq!(
+        observe(eng),
+        (placements, loads, canonical, 0),
+        "infeasible repack changed the engine ({context})"
+    );
+    let snap = eng.snapshot();
+    let after = eng.add(probe);
+    eng.rollback(&snap);
+    assert_eq!(eng.add(probe), after, "next add diverged ({context})");
+}
+
 /// Property 1: post-repack assignment equals from-scratch first-fit on the
 /// survivors, including the exact per-machine placement.
 fn check_repack_equivalence<A: IndexableAdmission>(admission: A, seed: u64) {
@@ -82,9 +111,14 @@ fn check_repack_equivalence<A: IndexableAdmission>(admission: A, seed: u64) {
     let mut eng = IncrementalEngine::new(admission, &platform, alpha);
     churn(&mut rng, &mut eng, 60);
     let survivors = eng.live_tasks();
+    let before = observe(&eng);
     match eng.force_repack() {
         RepackOutcome::Repacked => {}
-        RepackOutcome::Infeasible => return, // nothing to compare against
+        RepackOutcome::Infeasible => {
+            let probe = random_task(&mut rng);
+            check_infeasible_repack_untouched(&mut eng, before, probe, &format!("seed {seed}"));
+            return;
+        }
     }
     assert!(eng.is_canonical());
     assert_eq!(eng.divergence(), 0);
@@ -122,6 +156,32 @@ fn repack_matches_from_scratch_rms_ll() {
     for seed in 100..140 {
         check_repack_equivalence(RmsLlAdmission, seed);
     }
+}
+
+#[test]
+fn repack_matches_from_scratch_hyperbolic() {
+    for seed in 140..180 {
+        check_repack_equivalence(RmsHyperbolicAdmission, seed);
+    }
+}
+
+/// Arrival order packs {0.4, 0.3, 0.3} twice onto two unit machines, but
+/// FFD puts both 0.4s together and strands a 0.3: the repack is
+/// infeasible, and the engine must come out of it untouched.
+#[test]
+fn infeasible_repack_keeps_the_live_assignment() {
+    let platform = Platform::from_int_speeds([1, 1]).expect("valid platform");
+    let mut eng = IncrementalEngine::new(EdfAdmission, &platform, Augmentation::NONE);
+    for wcet in [4, 3, 3, 4, 3, 3] {
+        assert!(eng
+            .add(Task::implicit(wcet, 10).expect("valid task"))
+            .is_admitted());
+    }
+    let before = observe(&eng);
+    assert_eq!(before.3, 3, "the second 0.4 and its 0.3s diverge");
+    assert_eq!(eng.force_repack(), RepackOutcome::Infeasible);
+    let probe = Task::implicit(1, 100).expect("valid task");
+    check_infeasible_repack_untouched(&mut eng, before, probe, "fixed instance");
 }
 
 /// Property 2: rollback restores the observable state the snapshot saw,
@@ -208,4 +268,82 @@ fn sorted_appends_stay_canonical_and_match_batch() {
             );
         }
     }
+}
+
+/// The `ff.*` and `engine.*` counters, and the histograms, of a sink.
+type BatchMetrics = (Vec<(String, u64)>, Vec<(String, HistogramSnapshot)>);
+
+/// Everything in `sink` outside the `incr.*` family.
+fn batch_metrics(sink: &MemorySink) -> BatchMetrics {
+    let snap = sink.snapshot();
+    let counters = snap
+        .counters
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("incr."))
+        .collect();
+    (counters, snap.histograms)
+}
+
+/// Repack after rounds of churn and compare its metrics with the batch
+/// engine's on the same survivors. Returns how many repacks came back
+/// infeasible.
+fn check_repack_counters<A: IndexableAdmission + Clone>(admission: A, seed: u64) -> u32 {
+    let mut rng = Rng::new(seed);
+    // Small, slow platforms run full, where first fit in arrival
+    // order and in FFD order part ways.
+    let m = 2 + rng.below(3) as usize;
+    let platform =
+        Platform::from_int_speeds((0..m).map(|_| 1 + rng.below(2))).expect("valid platform");
+    let mut eng = IncrementalEngine::with_policy(
+        admission.clone(),
+        &platform,
+        Augmentation::NONE,
+        RepairPolicy::never(),
+    );
+    let mut ff = FirstFitEngine::new(admission);
+    let mut live = Vec::new();
+    let mut infeasible = 0;
+    // Several rounds on one engine: the first repack grows the
+    // workspaces, later ones reuse them — on both sides.
+    for round in 0..8 {
+        for _ in 0..12 {
+            if !live.is_empty() && rng.below(4) == 0 {
+                let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
+                eng.remove(victim);
+            } else {
+                let p = [10u64, 20, 25, 40, 50, 100][rng.below(6) as usize];
+                let task = Task::implicit(1 + rng.below(p), p).expect("valid task");
+                live.extend(eng.add(task).id());
+            }
+        }
+        let survivors = eng.live_tasks();
+        let (ours, batch) = (MemorySink::new(), MemorySink::new());
+        let out = eng
+            .repack_within_with(&mut Gas::unlimited(), &ours)
+            .expect("unlimited gas");
+        let reference = ff.run_with(&survivors, &platform, Augmentation::NONE, &batch);
+        assert_eq!(
+            out == RepackOutcome::Repacked,
+            reference.is_feasible(),
+            "seed {seed} round {round}"
+        );
+        infeasible += u32::from(out == RepackOutcome::Infeasible);
+        assert_eq!(
+            batch_metrics(&ours),
+            batch_metrics(&batch),
+            "seed {seed} round {round}: {survivors} on {platform}"
+        );
+    }
+    infeasible
+}
+
+#[test]
+fn repack_counters_equal_batch_engine_counters() {
+    let mut infeasible = 0;
+    for seed in 0..30 {
+        infeasible += check_repack_counters(EdfAdmission, seed);
+        infeasible += check_repack_counters(RmsLlAdmission, 100 + seed);
+        infeasible += check_repack_counters(RmsHyperbolicAdmission, 200 + seed);
+    }
+    assert!(infeasible > 0, "no infeasible repack exercised");
 }

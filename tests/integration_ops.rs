@@ -113,7 +113,7 @@ fn ops_incremental_and_from_scratch_agree() {
 #[test]
 fn ops_tiny_budget_is_undecided_exit_three() {
     // A trace heavy enough that a 1 ms wall budget always exhausts
-    // mid-replay: every `repack` is a full batch re-run over 1000 live
+    // mid-replay: every `repack` re-sorts and re-places all 1000 live
     // tasks, and each one polls the clock (tick_n), so the deadline is
     // observed promptly no matter how fast the host is.
     let mut heavy = String::from("begin heavy\n");
