@@ -54,9 +54,9 @@ pub mod theorems;
 
 pub use config::ExpConfig;
 pub use replay::{
-    combine_digests, replay_durable, replay_durable_stream, replay_instance,
-    replay_instance_digest, replay_sharded, replay_stream, InstanceReplayer, ReplayError,
-    ReplayMode, ReplayStats, StreamError, StreamSummary,
+    combine_digests, replay_durable, replay_events, replay_instance, replay_instance_digest,
+    replay_sharded, replay_stream, stream_events, trace_events, ReplayError, ReplayMode,
+    ReplayStats, StreamError, StreamSummary,
 };
 pub use sweep::{run_checkpointed, CellOutcome, Checkpoint};
 pub use table::Table;

@@ -1,41 +1,43 @@
 //! Op-trace replay: the batched front end of the online admission engine.
 //!
 //! An op trace ([`hetfeas_model::parse_op_trace`]) holds *independent*
-//! instances; this module replays each instance's operation stream against
-//! either
+//! instances. Each replays against the [`IncrementalEngine`]
+//! ([`ReplayMode::Incremental`]), the from-scratch baseline that re-runs
+//! batch first-fit ([`FirstFitEngine`]) after every mutation
+//! ([`ReplayMode::FromScratch`]), or the journaled [`DurableEngine`]
+//! ([`replay_durable`]).
 //!
-//! * [`ReplayMode::Incremental`] — the
-//!   [`hetfeas_partition::IncrementalEngine`] (`O(log m)` adds, local
-//!   repairs, snapshot/rollback), or
-//! * [`ReplayMode::FromScratch`] — the honest baseline: a full batch
-//!   first-fit re-run ([`hetfeas_partition::FirstFitEngine`]) after every
-//!   mutating operation,
+//! The trace protocol is written once, in `Replayer::apply`: trace ids map
+//! to engine ids, the id map is snapshotted with the engine, removes and
+//! queries of unknown ids are counted misses, and an `add` reusing a live
+//! id or a `rollback` before any `snapshot` is a [`ReplayError::Trace`].
+//! Each engine supplies only its own work and gas ticks, through the
+//! private `ReplayEngine` trait. One driver feeds `apply` from
+//! [`TraceEvent`]s, which come from a binary [`OpStream`]
+//! ([`stream_events`]) or a materialized trace ([`trace_events`]); every
+//! entry point is a short call into it, so text and binary replays of one
+//! trace land on the same digests by construction. [`replay_sharded`] fans
+//! a materialized trace's instances across worker threads.
 //!
-//! and [`replay_sharded`] fans independent instances out across worker
-//! threads with [`hetfeas_par::par_map_with`], ticking a shared
-//! [`hetfeas_par::Progress`] counter so long replays report `done/total`
-//! live instead of staying silent.
-//!
-//! The two modes agree on the *protocol* (a rejected add leaves the live
-//! set unchanged, removes of unknown ids are counted misses, snapshot/
-//! rollback restore observable state) but may diverge on individual
+//! The two modes agree on the protocol but may diverge on individual
 //! accept/reject decisions once an incremental assignment drifts from
 //! canonical FFD order — that gap is exactly what the divergence-triggered
 //! repack bounds, and `tests/prop_incremental.rs` pins the equivalence
 //! after a repack.
 
+use hetfeas_model::io::bin::crc32;
 use hetfeas_model::{
-    Augmentation, IdMap, OpStream, OpTrace, Platform, Task, TraceEvent, TraceInstance, TraceOp,
+    Augmentation, IdMap, OpStream, OpTrace, Platform, Task, TaskSet, TraceEvent, TraceInstance,
+    TraceOp,
 };
 use hetfeas_obs::MetricsSink;
 use hetfeas_par::{par_map_with, Progress};
 use hetfeas_partition::{
-    live_state_digest, AddOutcome, DurableEngine, DurableError, DurableOptions, FirstFitEngine,
-    IncrSnapshot, IncrementalEngine, IndexableAdmission, Outcome, RepackOutcome, TaskId,
+    live_state_digest, DurableEngine, DurableError, DurableOptions, FirstFitEngine, IncrSnapshot,
+    IncrementalEngine, IndexableAdmission, Outcome, RepackOutcome, TaskId,
 };
-use hetfeas_robust::journal::{crc32, Storage};
+use hetfeas_robust::journal::Storage;
 use hetfeas_robust::{Budget, Exhaustion, Gas};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Which engine serves the operation stream.
@@ -133,6 +135,16 @@ pub enum ReplayError {
     },
 }
 
+impl ReplayError {
+    /// An engine step's failure, placed at operation `op_index`.
+    fn at(op_index: usize, e: DurableError) -> Self {
+        match e {
+            DurableError::Io(message) => ReplayError::Io { op_index, message },
+            DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
+        }
+    }
+}
+
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -149,313 +161,6 @@ impl std::fmt::Display for ReplayError {
     }
 }
 
-/// The shared per-instance replay core: an [`IncrementalEngine`], the
-/// trace-id → engine-id map, the single snapshot slot, and the protocol
-/// stats. Both the materialized replays and the streaming binary replay
-/// ([`replay_stream`]) drive every op through [`Self::apply`], which is
-/// what makes their final digests structurally comparable — there is one
-/// protocol implementation, not two.
-pub struct InstanceReplayer<A: IndexableAdmission> {
-    eng: IncrementalEngine<A>,
-    ids: IdMap<TaskId>,
-    snap: Option<(IncrSnapshot<A>, IdMap<TaskId>)>,
-    stats: ReplayStats,
-    op_index: usize,
-}
-
-impl<A: IndexableAdmission> InstanceReplayer<A> {
-    /// Fresh replayer over `platform`.
-    pub fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
-        InstanceReplayer {
-            eng: IncrementalEngine::new(admission, platform, alpha),
-            ids: IdMap::default(),
-            snap: None,
-            stats: ReplayStats::default(),
-            op_index: 0,
-        }
-    }
-
-    /// Apply the next operation of the stream.
-    pub fn apply<S: MetricsSink>(
-        &mut self,
-        op: &TraceOp,
-        gas: &mut Gas,
-        sink: &S,
-    ) -> Result<(), ReplayError> {
-        let op_index = self.op_index;
-        self.op_index += 1;
-        self.stats.ops += 1;
-        let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
-        match *op {
-            TraceOp::Add { id, task } => {
-                if let Some(tid) = self.ids.get(&id) {
-                    if self.eng.contains(*tid) {
-                        return Err(ReplayError::Trace {
-                            op_index,
-                            message: format!("add reuses live id {id}"),
-                        });
-                    }
-                }
-                match self
-                    .eng
-                    .add_within_with(task, gas, sink)
-                    .map_err(exhausted)?
-                {
-                    AddOutcome::Admitted { id: tid, .. } => {
-                        self.ids.insert(id, tid);
-                        self.stats.admitted += 1;
-                    }
-                    AddOutcome::Rejected => self.stats.rejected += 1,
-                }
-            }
-            TraceOp::Remove { id } => {
-                let live = self.ids.get(&id).copied();
-                match live {
-                    Some(tid) => match self
-                        .eng
-                        .remove_within_with(tid, gas, sink)
-                        .map_err(exhausted)?
-                    {
-                        Some(_) => {
-                            self.ids.remove(&id);
-                            self.stats.removed += 1;
-                        }
-                        None => self.stats.remove_misses += 1,
-                    },
-                    None => {
-                        gas.tick().map_err(exhausted)?;
-                        self.stats.remove_misses += 1;
-                    }
-                }
-            }
-            TraceOp::Query { id } => {
-                gas.tick().map_err(exhausted)?;
-                let hit = self.ids.get(&id).and_then(|tid| self.eng.machine_of(*tid));
-                if hit.is_some() {
-                    self.stats.query_hits += 1;
-                } else {
-                    self.stats.query_misses += 1;
-                }
-            }
-            TraceOp::Snapshot => {
-                gas.tick_n(self.eng.len() as u64 + 1).map_err(exhausted)?;
-                self.snap = Some((self.eng.snapshot_with(sink), self.ids.clone()));
-                self.stats.snapshots += 1;
-            }
-            TraceOp::Rollback => {
-                gas.tick_n(self.eng.len() as u64 + 1).map_err(exhausted)?;
-                let Some((s, m)) = self.snap.as_ref() else {
-                    // The text parser and OpStream both reject this
-                    // structurally; keep the direct API honest anyway.
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: "rollback before any snapshot".to_string(),
-                    });
-                };
-                self.eng.rollback_with(s, sink);
-                self.ids = m.clone();
-                self.stats.rollbacks += 1;
-            }
-            TraceOp::Repack => match self.eng.repack_within_with(gas, sink).map_err(exhausted)? {
-                RepackOutcome::Repacked => self.stats.repacks += 1,
-                RepackOutcome::Infeasible => self.stats.repacks_infeasible += 1,
-            },
-        }
-        Ok(())
-    }
-
-    /// CRC32 digest of the current engine state plus the held snapshot —
-    /// the same bytes [`DurableEngine::state_digest`] hashes, so a
-    /// journal-free replay can be compared against a durable run.
-    pub fn digest(&self) -> u32 {
-        live_state_digest(&self.eng, self.snap.as_ref().map(|(s, _)| s))
-    }
-
-    /// Close the instance: fill `final_live` and return stats + digest.
-    pub fn finish(mut self) -> (ReplayStats, u32) {
-        self.stats.final_live = self.eng.len() as u64;
-        let digest = self.digest();
-        (self.stats, digest)
-    }
-}
-
-/// Replay one instance on the [`IncrementalEngine`].
-fn replay_incremental<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<ReplayStats, ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    replay_instance_digest(admission, inst, alpha, gas, sink).map(|(stats, _)| stats)
-}
-
-/// [`replay_instance`] in incremental mode, additionally returning the
-/// [`live_state_digest`] of the final state — what the streaming replay
-/// and the durable replay report, so all three paths are comparable.
-pub fn replay_instance_digest<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(ReplayStats, u32), ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    let mut rep = InstanceReplayer::new(admission, &inst.platform, alpha);
-    for op in &inst.ops {
-        rep.apply(op, gas, sink)?;
-    }
-    Ok(rep.finish())
-}
-
-/// Replay one instance on a journaled [`DurableEngine`] over `store`:
-/// every mutating op is appended to the write-ahead journal before it is
-/// applied, so a kill at any point leaves a journal that
-/// [`hetfeas_partition::recover`] replays back to the bit-identical
-/// engine. Returns the protocol stats plus the engine's
-/// [`DurableEngine::state_digest`] — `hetfeas recover` prints the same
-/// digest, which is how `scripts/crash_smoke.sh` compares a recovered
-/// state against an uncrashed reference across processes.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_durable<A, S>(
-    admission: A,
-    inst: &TraceInstance,
-    alpha: Augmentation,
-    policy_key: &str,
-    opts: DurableOptions,
-    store: Box<dyn Storage>,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(ReplayStats, u32), ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    let durable_err = |op_index: usize| {
-        move |e: DurableError| match e {
-            DurableError::Io(message) => ReplayError::Io { op_index, message },
-            DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
-        }
-    };
-    let mut eng = DurableEngine::create(
-        admission,
-        &inst.platform,
-        alpha,
-        policy_key,
-        opts,
-        store,
-        gas,
-        sink,
-    )
-    .map_err(durable_err(0))?;
-    let mut ids: IdMap<TaskId> = IdMap::default();
-    let mut ids_snap: Option<IdMap<TaskId>> = None;
-    let mut stats = ReplayStats::default();
-    for (op_index, op) in inst.ops.iter().enumerate() {
-        apply_durable_op(
-            &mut eng,
-            &mut ids,
-            &mut ids_snap,
-            &mut stats,
-            op_index,
-            op,
-            gas,
-            sink,
-        )?;
-    }
-    stats.final_live = eng.engine().len() as u64;
-    Ok((stats, eng.state_digest()))
-}
-
-/// One step of journaled replay — shared by the materialized
-/// [`replay_durable`] and the streaming [`replay_durable_stream`].
-#[allow(clippy::too_many_arguments)]
-fn apply_durable_op<A, S>(
-    eng: &mut DurableEngine<A>,
-    ids: &mut IdMap<TaskId>,
-    ids_snap: &mut Option<IdMap<TaskId>>,
-    stats: &mut ReplayStats,
-    op_index: usize,
-    op: &TraceOp,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(), ReplayError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-{
-    let durable_err = move |e: DurableError| match e {
-        DurableError::Io(message) => ReplayError::Io { op_index, message },
-        DurableError::Exhausted(cause) => ReplayError::Exhausted { op_index, cause },
-    };
-    stats.ops += 1;
-    let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
-    match *op {
-        TraceOp::Add { id, task } => {
-            if let Some(tid) = ids.get(&id) {
-                if eng.engine().contains(*tid) {
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: format!("add reuses live id {id}"),
-                    });
-                }
-            }
-            match eng.add(task, gas, sink).map_err(durable_err)? {
-                AddOutcome::Admitted { id: tid, .. } => {
-                    ids.insert(id, tid);
-                    stats.admitted += 1;
-                }
-                AddOutcome::Rejected => stats.rejected += 1,
-            }
-        }
-        TraceOp::Remove { id } => match ids.get(&id).copied() {
-            Some(tid) => match eng.remove(tid, gas, sink).map_err(durable_err)? {
-                Some(_) => {
-                    ids.remove(&id);
-                    stats.removed += 1;
-                }
-                None => stats.remove_misses += 1,
-            },
-            None => {
-                gas.tick().map_err(exhausted)?;
-                stats.remove_misses += 1;
-            }
-        },
-        TraceOp::Query { id } => {
-            gas.tick().map_err(exhausted)?;
-            let hit = ids.get(&id).and_then(|tid| eng.engine().machine_of(*tid));
-            if hit.is_some() {
-                stats.query_hits += 1;
-            } else {
-                stats.query_misses += 1;
-            }
-        }
-        TraceOp::Snapshot => {
-            eng.snapshot(gas, sink).map_err(durable_err)?;
-            *ids_snap = Some(ids.clone());
-            stats.snapshots += 1;
-        }
-        TraceOp::Rollback => {
-            if eng.rollback(gas, sink).map_err(durable_err)? {
-                *ids = ids_snap.clone().expect("parser rejects early rollback");
-            }
-            stats.rollbacks += 1;
-        }
-        TraceOp::Repack => match eng.repack(gas, sink).map_err(durable_err)? {
-            RepackOutcome::Repacked => stats.repacks += 1,
-            RepackOutcome::Infeasible => stats.repacks_infeasible += 1,
-        },
-    }
-    Ok(())
-}
-
 /// Why a streaming replay stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
@@ -464,6 +169,12 @@ pub enum StreamError {
     Decode(String),
     /// The replay itself failed (gas, trace semantics, journal IO).
     Replay(ReplayError),
+}
+
+impl From<ReplayError> for StreamError {
+    fn from(e: ReplayError) -> Self {
+        StreamError::Replay(e)
+    }
 }
 
 impl std::fmt::Display for StreamError {
@@ -477,15 +188,432 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// One finished instance of a streaming replay.
+/// One finished instance of a replay. `D` is its digest: the
+/// [`live_state_digest`] of the final state (with held snapshot) for the
+/// incremental and journaled engines, `Option<u32>` where the mode is
+/// chosen at run time and the from-scratch baseline has none.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSummary {
+pub struct StreamSummary<D = u32> {
     /// Instance name from its begin record.
     pub name: String,
     /// Protocol outcome counts.
     pub stats: ReplayStats,
-    /// [`live_state_digest`] of the final state (with held snapshot).
-    pub digest: u32,
+    /// Digest of the final engine state.
+    pub digest: D,
+}
+
+/// What an engine step returns: the engine's answer, or why it stopped.
+type Step<T> = Result<T, DurableError>;
+
+/// The engine-specific half of the trace protocol. `Replayer::apply` owns
+/// the trace-id map, the snapshot slot, the stats and the errors; an
+/// engine only does the work and charges its own gas.
+trait ReplayEngine<S: MetricsSink> {
+    /// How the engine names an admitted task.
+    type Id: Copy;
+    /// What a snapshot holds outside the engine.
+    type Snap;
+    /// What the engine reports when its instance ends.
+    type Digest;
+    /// True while `id` is live (and so placed on a machine).
+    fn is_live(&self, id: Self::Id) -> bool;
+    /// Offer `task`; `None` when no machine fits.
+    fn add(&mut self, task: Task, gas: &mut Gas, sink: &S) -> Step<Option<Self::Id>>;
+    /// Remove `id`; `false` when it was not live.
+    fn remove(&mut self, id: Self::Id, gas: &mut Gas, sink: &S) -> Step<bool>;
+    /// Capture the current state.
+    fn snapshot(&mut self, gas: &mut Gas, sink: &S) -> Step<Self::Snap>;
+    /// Restore the state `snap` captured.
+    fn rollback(&mut self, snap: &Self::Snap, gas: &mut Gas, sink: &S) -> Step<()>;
+    /// Re-place the live set in canonical FFD order.
+    fn repack(&mut self, gas: &mut Gas, sink: &S) -> Step<RepackOutcome>;
+    /// Live tasks, and the digest of the current state with `snap` held.
+    fn finish(&self, snap: Option<&Self::Snap>) -> (usize, Self::Digest);
+}
+
+/// The in-memory engine; the snapshot slot lives in the `Replayer`.
+impl<A: IndexableAdmission, S: MetricsSink> ReplayEngine<S> for IncrementalEngine<A> {
+    type Id = TaskId;
+    type Snap = IncrSnapshot<A>;
+    type Digest = u32;
+
+    fn is_live(&self, id: TaskId) -> bool {
+        self.contains(id)
+    }
+
+    fn add(&mut self, task: Task, gas: &mut Gas, sink: &S) -> Step<Option<TaskId>> {
+        let out = self.add_within_with(task, gas, sink);
+        out.map(|o| o.id()).map_err(DurableError::Exhausted)
+    }
+
+    fn remove(&mut self, id: TaskId, gas: &mut Gas, sink: &S) -> Step<bool> {
+        let removed = self.remove_within_with(id, gas, sink);
+        removed
+            .map(|t| t.is_some())
+            .map_err(DurableError::Exhausted)
+    }
+
+    fn snapshot(&mut self, gas: &mut Gas, sink: &S) -> Step<IncrSnapshot<A>> {
+        let len = self.len() as u64;
+        gas.tick_n(len + 1).map_err(DurableError::Exhausted)?;
+        Ok(self.snapshot_with(sink))
+    }
+
+    fn rollback(&mut self, snap: &IncrSnapshot<A>, gas: &mut Gas, sink: &S) -> Step<()> {
+        let len = self.len() as u64;
+        gas.tick_n(len + 1).map_err(DurableError::Exhausted)?;
+        self.rollback_with(snap, sink);
+        Ok(())
+    }
+
+    fn repack(&mut self, gas: &mut Gas, sink: &S) -> Step<RepackOutcome> {
+        let out = self.repack_within_with(gas, sink);
+        out.map_err(DurableError::Exhausted)
+    }
+
+    fn finish(&self, snap: Option<&IncrSnapshot<A>>) -> (usize, u32) {
+        (self.len(), live_state_digest(self, snap))
+    }
+}
+
+/// The journaled engine: every mutating op is appended to the write-ahead
+/// journal before it is applied, and the engine holds its own snapshot.
+impl<A: IndexableAdmission, S: MetricsSink> ReplayEngine<S> for DurableEngine<A> {
+    type Id = TaskId;
+    type Snap = ();
+    type Digest = u32;
+
+    fn is_live(&self, id: TaskId) -> bool {
+        self.engine().contains(id)
+    }
+
+    fn add(&mut self, task: Task, gas: &mut Gas, sink: &S) -> Step<Option<TaskId>> {
+        DurableEngine::add(self, task, gas, sink).map(|o| o.id())
+    }
+
+    fn remove(&mut self, id: TaskId, gas: &mut Gas, sink: &S) -> Step<bool> {
+        Ok(DurableEngine::remove(self, id, gas, sink)?.is_some())
+    }
+
+    fn snapshot(&mut self, gas: &mut Gas, sink: &S) -> Step<()> {
+        DurableEngine::snapshot(self, gas, sink)
+    }
+
+    fn rollback(&mut self, _: &(), gas: &mut Gas, sink: &S) -> Step<()> {
+        DurableEngine::rollback(self, gas, sink).map(drop)
+    }
+
+    fn repack(&mut self, gas: &mut Gas, sink: &S) -> Step<RepackOutcome> {
+        DurableEngine::repack(self, gas, sink)
+    }
+
+    fn finish(&self, _: Option<&()>) -> (usize, u32) {
+        (self.engine().len(), self.state_digest())
+    }
+}
+
+/// The from-scratch baseline: the live set in admission order, re-placed
+/// by a batch first-fit run after every mutation. Ids are handed out in
+/// admission order.
+struct Scratch<A: IndexableAdmission> {
+    ff: FirstFitEngine<A>,
+    platform: Platform,
+    alpha: Augmentation,
+    ids: Vec<u64>,
+    tasks: Vec<Task>,
+    next_id: u64,
+}
+
+impl<A: IndexableAdmission> Scratch<A> {
+    fn new(admission: A, platform: &Platform, alpha: Augmentation) -> Self {
+        Scratch {
+            ff: FirstFitEngine::new(admission),
+            platform: platform.clone(),
+            alpha,
+            ids: Vec::new(),
+            tasks: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    /// Batch first-fit over the live set: `true` when it places every task.
+    fn rerun<S: MetricsSink>(&mut self, gas: &mut Gas, sink: &S) -> Step<bool> {
+        let work = (self.tasks.len() + self.platform.len()) as u64 + 1;
+        gas.tick_n(work).map_err(DurableError::Exhausted)?;
+        let ts: TaskSet = self.tasks.iter().copied().collect();
+        let out = self.ff.run_with(&ts, &self.platform, self.alpha, sink);
+        Ok(matches!(out, Outcome::Feasible(_)))
+    }
+}
+
+impl<A: IndexableAdmission, S: MetricsSink> ReplayEngine<S> for Scratch<A> {
+    type Id = u64;
+    type Snap = (Vec<u64>, Vec<Task>);
+    /// The baseline keeps no engine state to digest.
+    type Digest = Option<u32>;
+
+    fn is_live(&self, id: u64) -> bool {
+        self.ids.contains(&id)
+    }
+
+    fn add(&mut self, task: Task, gas: &mut Gas, sink: &S) -> Step<Option<u64>> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.ids.push(id);
+        self.tasks.push(task);
+        if self.rerun(gas, sink)? {
+            return Ok(Some(id));
+        }
+        self.ids.pop();
+        self.tasks.pop();
+        Ok(None)
+    }
+
+    fn remove(&mut self, id: u64, gas: &mut Gas, sink: &S) -> Step<bool> {
+        let Some(pos) = self.ids.iter().position(|&x| x == id) else {
+            return Ok(false);
+        };
+        self.ids.remove(pos);
+        self.tasks.remove(pos);
+        // FFD is order-sensitive: a subset of a feasible set can fail the
+        // re-run. The survivors' previous placements stay valid (removal
+        // only sheds load), so the remove stands either way — same policy
+        // as the incremental engine's infeasible repack.
+        self.rerun(gas, sink)?;
+        Ok(true)
+    }
+
+    fn snapshot(&mut self, gas: &mut Gas, _: &S) -> Step<Self::Snap> {
+        let len = self.tasks.len() as u64;
+        gas.tick_n(len + 1).map_err(DurableError::Exhausted)?;
+        Ok((self.ids.clone(), self.tasks.clone()))
+    }
+
+    fn rollback(&mut self, (ids, tasks): &Self::Snap, gas: &mut Gas, _: &S) -> Step<()> {
+        let len = self.tasks.len() as u64;
+        gas.tick_n(len + 1).map_err(DurableError::Exhausted)?;
+        self.ids.clone_from(ids);
+        self.tasks.clone_from(tasks);
+        Ok(())
+    }
+
+    fn repack(&mut self, gas: &mut Gas, sink: &S) -> Step<RepackOutcome> {
+        // The baseline is always canonical; re-run for cost parity.
+        Ok(match self.rerun(gas, sink)? {
+            true => RepackOutcome::Repacked,
+            false => RepackOutcome::Infeasible,
+        })
+    }
+
+    fn finish(&self, _: Option<&Self::Snap>) -> (usize, Option<u32>) {
+        (self.tasks.len(), None)
+    }
+}
+
+/// One instance in flight: an engine plus the protocol state around it —
+/// the trace-id map and the snapshot slot, which holds the id map too.
+struct Replayer<E: ReplayEngine<S>, S: MetricsSink> {
+    eng: E,
+    ids: IdMap<E::Id>,
+    snap: Option<(E::Snap, IdMap<E::Id>)>,
+    stats: ReplayStats,
+}
+
+impl<E: ReplayEngine<S>, S: MetricsSink> Replayer<E, S> {
+    fn new(eng: E) -> Self {
+        Replayer {
+            eng,
+            ids: IdMap::default(),
+            snap: None,
+            stats: ReplayStats::default(),
+        }
+    }
+
+    /// Apply the next operation of the instance: the whole trace
+    /// protocol, for every engine.
+    fn apply(&mut self, op: TraceOp, gas: &mut Gas, sink: &S) -> Result<(), ReplayError> {
+        let op_index = self.stats.ops as usize;
+        self.stats.ops += 1;
+        let fail = |e| ReplayError::at(op_index, e);
+        let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
+        match op {
+            TraceOp::Add { id, task } => {
+                if self.ids.get(&id).is_some_and(|&e| self.eng.is_live(e)) {
+                    let message = format!("add reuses live id {id}");
+                    return Err(ReplayError::Trace { op_index, message });
+                }
+                match self.eng.add(task, gas, sink).map_err(fail)? {
+                    Some(e) => {
+                        self.ids.insert(id, e);
+                        self.stats.admitted += 1;
+                    }
+                    None => self.stats.rejected += 1,
+                }
+            }
+            TraceOp::Remove { id } => match self.ids.get(&id).copied() {
+                Some(e) => {
+                    if self.eng.remove(e, gas, sink).map_err(fail)? {
+                        self.ids.remove(&id);
+                        self.stats.removed += 1;
+                    } else {
+                        self.stats.remove_misses += 1;
+                    }
+                }
+                None => {
+                    gas.tick().map_err(exhausted)?;
+                    self.stats.remove_misses += 1;
+                }
+            },
+            TraceOp::Query { id } => {
+                gas.tick().map_err(exhausted)?;
+                if self.ids.get(&id).is_some_and(|&e| self.eng.is_live(e)) {
+                    self.stats.query_hits += 1;
+                } else {
+                    self.stats.query_misses += 1;
+                }
+            }
+            TraceOp::Snapshot => {
+                let snap = self.eng.snapshot(gas, sink).map_err(fail)?;
+                self.snap = Some((snap, self.ids.clone()));
+                self.stats.snapshots += 1;
+            }
+            TraceOp::Rollback => {
+                // The text parser and OpStream both reject this
+                // structurally; a hand-built instance can still hold it.
+                let Some((snap, ids)) = &self.snap else {
+                    let message = "rollback before any snapshot".to_string();
+                    return Err(ReplayError::Trace { op_index, message });
+                };
+                self.eng.rollback(snap, gas, sink).map_err(fail)?;
+                self.ids.clone_from(ids);
+                self.stats.rollbacks += 1;
+            }
+            TraceOp::Repack => match self.eng.repack(gas, sink).map_err(fail)? {
+                RepackOutcome::Repacked => self.stats.repacks += 1,
+                RepackOutcome::Infeasible => self.stats.repacks_infeasible += 1,
+            },
+        }
+        Ok(())
+    }
+}
+
+/// The one replay loop. `open` builds the engine for each `Begin`; each
+/// `Op` goes through `Replayer::apply`; each `End` closes the instance
+/// into its summary. Stops at the first error, from the source or the
+/// replay.
+fn drive<E, S, D, Err, I, O>(
+    events: I,
+    mut open: O,
+    gas: &mut Gas,
+    sink: &S,
+) -> Result<Vec<StreamSummary<D>>, Err>
+where
+    E: ReplayEngine<S>,
+    S: MetricsSink,
+    D: From<E::Digest>,
+    Err: From<ReplayError>,
+    I: IntoIterator<Item = Result<TraceEvent, Err>>,
+    O: FnMut(&Platform, &mut Gas, &S) -> Result<E, ReplayError>,
+{
+    let mut out = Vec::new();
+    let mut current: Option<(String, Replayer<E, S>)> = None;
+    for event in events {
+        match event? {
+            TraceEvent::Begin { name, platform } => {
+                current = Some((name, Replayer::new(open(&platform, gas, sink)?)));
+            }
+            TraceEvent::Op(op) => {
+                let (_, rep) = current
+                    .as_mut()
+                    .expect("event sources yield ops only inside an instance");
+                rep.apply(op, gas, sink)?;
+            }
+            TraceEvent::End => {
+                let (name, mut rep) = current
+                    .take()
+                    .expect("event sources yield End only inside an instance");
+                let (live, digest) = rep.eng.finish(rep.snap.as_ref().map(|(s, _)| s));
+                rep.stats.final_live = live as u64;
+                let (stats, digest) = (rep.stats, digest.into());
+                out.push(StreamSummary {
+                    name,
+                    stats,
+                    digest,
+                });
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The event source for a materialized trace: each instance's `Begin`,
+/// its ops and its `End`, in order — the events an [`OpStream`] of the
+/// trace's binary encoding yields.
+pub fn trace_events<'a, E: 'a>(
+    instances: &'a [TraceInstance],
+) -> impl Iterator<Item = Result<TraceEvent, E>> + 'a {
+    instances.iter().flat_map(|inst| {
+        let begin = TraceEvent::Begin {
+            name: inst.name.clone(),
+            platform: inst.platform.clone(),
+        };
+        std::iter::once(begin)
+            .chain(inst.ops.iter().map(|&op| TraceEvent::Op(op)))
+            .chain(std::iter::once(TraceEvent::End))
+            .map(Ok)
+    })
+}
+
+/// The event source for a binary trace, decoded one frame at a time.
+pub fn stream_events<R: std::io::Read>(
+    stream: &mut OpStream<R>,
+) -> impl Iterator<Item = Result<TraceEvent, StreamError>> + '_ {
+    std::iter::from_fn(move || {
+        let event = stream.next_event().transpose()?;
+        Some(event.map_err(|e| StreamError::Decode(e.to_string())))
+    })
+}
+
+/// The summary of a single-instance replay.
+fn only<D>(mut done: Vec<StreamSummary<D>>) -> Result<StreamSummary<D>, ReplayError> {
+    done.pop().ok_or_else(|| ReplayError::Trace {
+        op_index: 0,
+        message: "trace holds no instance".to_string(),
+    })
+}
+
+/// Replay every instance `events` yields in the given mode, one after the
+/// other under one `gas`. Incremental summaries carry their
+/// [`live_state_digest`]; from-scratch ones carry none.
+pub fn replay_events<A, S, Err, I>(
+    events: I,
+    admission: A,
+    alpha: Augmentation,
+    mode: ReplayMode,
+    gas: &mut Gas,
+    sink: &S,
+) -> Result<Vec<StreamSummary<Option<u32>>>, Err>
+where
+    A: IndexableAdmission + Clone,
+    S: MetricsSink,
+    Err: From<ReplayError>,
+    I: IntoIterator<Item = Result<TraceEvent, Err>>,
+{
+    let a = &admission;
+    match mode {
+        ReplayMode::Incremental => drive(
+            events,
+            |p, _, _| Ok(IncrementalEngine::new(a.clone(), p, alpha)),
+            gas,
+            sink,
+        ),
+        ReplayMode::FromScratch => drive(
+            events,
+            |p, _, _| Ok(Scratch::new(a.clone(), p, alpha)),
+            gas,
+            sink,
+        ),
+    }
 }
 
 /// Replay a streaming binary op trace instance by instance in bounded
@@ -506,271 +634,34 @@ where
     S: MetricsSink,
     R: std::io::Read,
 {
-    let mut out = Vec::new();
-    let mut current: Option<(String, InstanceReplayer<A>)> = None;
-    while let Some(ev) = stream
-        .next_event()
-        .map_err(|e| StreamError::Decode(e.to_string()))?
-    {
-        match ev {
-            TraceEvent::Begin { name, platform } => {
-                current = Some((
-                    name,
-                    InstanceReplayer::new(admission.clone(), &platform, alpha),
-                ));
-            }
-            TraceEvent::Op(op) => {
-                let (_, rep) = current
-                    .as_mut()
-                    .expect("OpStream yields ops only inside an instance");
-                rep.apply(&op, gas, sink).map_err(StreamError::Replay)?;
-            }
-            TraceEvent::End => {
-                let (name, rep) = current
-                    .take()
-                    .expect("OpStream yields End only inside an instance");
-                let (stats, digest) = rep.finish();
-                out.push(StreamSummary {
-                    name,
-                    stats,
-                    digest,
-                });
-            }
-        }
-    }
-    Ok(out)
+    let open =
+        |p: &Platform, _: &mut Gas, _: &S| Ok(IncrementalEngine::new(admission.clone(), p, alpha));
+    drive(stream_events(stream), open, gas, sink)
 }
 
-/// Journaled streaming replay: [`replay_durable`] fed from a binary
-/// [`OpStream`] instead of a materialized instance. The stream must hold
-/// exactly **one** instance — a journal describes a single engine.
-/// Returns the instance name with the stats and final
-/// [`DurableEngine::state_digest`].
-#[allow(clippy::too_many_arguments)]
-pub fn replay_durable_stream<A, S, R>(
-    stream: &mut OpStream<R>,
-    admission: A,
-    alpha: Augmentation,
-    policy_key: &str,
-    opts: DurableOptions,
-    store: Box<dyn Storage>,
-    gas: &mut Gas,
-    sink: &S,
-) -> Result<(String, ReplayStats, u32), StreamError>
-where
-    A: IndexableAdmission,
-    S: MetricsSink,
-    R: std::io::Read,
-{
-    let decode = |e: hetfeas_model::BinTraceError| StreamError::Decode(e.to_string());
-    let mut store = Some(store);
-    let mut admission = Some(admission);
-    let mut current: Option<(String, DurableEngine<A>)> = None;
-    let mut ids: IdMap<TaskId> = IdMap::default();
-    let mut ids_snap: Option<IdMap<TaskId>> = None;
-    let mut stats = ReplayStats::default();
-    let mut op_index = 0usize;
-    let mut finished: Option<(String, ReplayStats, u32)> = None;
-    while let Some(ev) = stream.next_event().map_err(decode)? {
-        match ev {
-            TraceEvent::Begin { name, platform } => {
-                if current.is_some() || finished.is_some() {
-                    return Err(StreamError::Replay(ReplayError::Trace {
-                        op_index,
-                        message: "journaled replay needs a single-instance trace".to_string(),
-                    }));
-                }
-                let eng = DurableEngine::create(
-                    admission.take().expect("single instance"),
-                    &platform,
-                    alpha,
-                    policy_key,
-                    opts,
-                    store.take().expect("single instance"),
-                    gas,
-                    sink,
-                )
-                .map_err(|e| match e {
-                    DurableError::Io(message) => StreamError::Replay(ReplayError::Io {
-                        op_index: 0,
-                        message,
-                    }),
-                    DurableError::Exhausted(cause) => {
-                        StreamError::Replay(ReplayError::Exhausted { op_index: 0, cause })
-                    }
-                })?;
-                current = Some((name, eng));
-            }
-            TraceEvent::Op(op) => {
-                let (_, eng) = current
-                    .as_mut()
-                    .expect("OpStream yields ops only inside an instance");
-                apply_durable_op(
-                    eng,
-                    &mut ids,
-                    &mut ids_snap,
-                    &mut stats,
-                    op_index,
-                    &op,
-                    gas,
-                    sink,
-                )
-                .map_err(StreamError::Replay)?;
-                op_index += 1;
-            }
-            TraceEvent::End => {
-                let (name, eng) = current
-                    .take()
-                    .expect("OpStream yields End only inside an instance");
-                stats.final_live = eng.engine().len() as u64;
-                finished = Some((name, stats, eng.state_digest()));
-                stats = ReplayStats::default();
-            }
-        }
-    }
-    finished.ok_or_else(|| {
-        StreamError::Replay(ReplayError::Trace {
-            op_index: 0,
-            message: "trace holds no instance".to_string(),
-        })
-    })
-}
-
-/// Fold per-instance digests into one order-sensitive trace digest (the
-/// CRC32 of the concatenated little-endian digests), so a streaming run
-/// and a materialized run over a multi-instance trace compare with a
-/// single number.
-pub fn combine_digests<I: IntoIterator<Item = u32>>(digests: I) -> u32 {
-    let mut buf = Vec::new();
-    for d in digests {
-        buf.extend_from_slice(&d.to_le_bytes());
-    }
-    crc32(&buf)
-}
-
-/// From-scratch baseline state: the live set plus a per-trace-id placement
-/// map. Placements are keyed by trace id (not positional index) so that a
-/// remove whose FFD re-run comes back infeasible can keep the previous —
-/// still valid — placements for the survivors without index aliasing.
-struct Scratch {
-    ids: Vec<u64>,
-    tasks: Vec<Task>,
-    placed: HashMap<u64, usize>,
-}
-
-/// Replay one instance re-running batch first-fit after every mutation.
-fn replay_from_scratch<A, S>(
+/// [`replay_instance`] in incremental mode, additionally returning the
+/// [`live_state_digest`] of the final state — what the streaming replay
+/// and the durable replay report, so all three paths are comparable.
+pub fn replay_instance_digest<A, S>(
     admission: A,
     inst: &TraceInstance,
     alpha: Augmentation,
     gas: &mut Gas,
     sink: &S,
-) -> Result<ReplayStats, ReplayError>
+) -> Result<(ReplayStats, u32), ReplayError>
 where
     A: IndexableAdmission,
     S: MetricsSink,
 {
-    let mut ff = FirstFitEngine::new(admission);
-    let m = inst.platform.len();
-    let mut live = Scratch {
-        ids: Vec::new(),
-        tasks: Vec::new(),
-        placed: HashMap::new(),
+    // One instance in, so `open` runs once.
+    let mut admission = Some(admission);
+    let open = |p: &Platform, _: &mut Gas, _: &S| {
+        let admission = admission.take().expect("one instance opens once");
+        Ok(IncrementalEngine::new(admission, p, alpha))
     };
-    let mut snap: Option<Scratch> = None;
-    let mut stats = ReplayStats::default();
-    let mut rerun = |live: &mut Scratch, gas: &mut Gas| -> Result<bool, Exhaustion> {
-        gas.tick_n((live.tasks.len() + m) as u64 + 1)?;
-        let ts: hetfeas_model::TaskSet = live.tasks.iter().copied().collect();
-        match ff.run_with(&ts, &inst.platform, alpha, sink) {
-            Outcome::Feasible(a) => {
-                live.placed = live
-                    .ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, a.machine_of(i).expect("complete assignment")))
-                    .collect();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    };
-    for (op_index, op) in inst.ops.iter().enumerate() {
-        stats.ops += 1;
-        let exhausted = |cause| ReplayError::Exhausted { op_index, cause };
-        match *op {
-            TraceOp::Add { id, task } => {
-                if live.ids.contains(&id) {
-                    return Err(ReplayError::Trace {
-                        op_index,
-                        message: format!("add reuses live id {id}"),
-                    });
-                }
-                live.ids.push(id);
-                live.tasks.push(task);
-                if rerun(&mut live, gas).map_err(exhausted)? {
-                    stats.admitted += 1;
-                } else {
-                    live.ids.pop();
-                    live.tasks.pop();
-                    stats.rejected += 1;
-                }
-            }
-            TraceOp::Remove { id } => match live.ids.iter().position(|&x| x == id) {
-                Some(pos) => {
-                    live.ids.remove(pos);
-                    live.tasks.remove(pos);
-                    live.placed.remove(&id);
-                    // FFD is order-sensitive: a subset of a feasible set
-                    // can fail the re-run. The survivors' previous
-                    // placements stay valid (removal only sheds load), so
-                    // on infeasible keep them — same policy as the
-                    // incremental engine's infeasible repack.
-                    let _ = rerun(&mut live, gas).map_err(exhausted)?;
-                    stats.removed += 1;
-                }
-                None => {
-                    gas.tick().map_err(exhausted)?;
-                    stats.remove_misses += 1;
-                }
-            },
-            TraceOp::Query { id } => {
-                gas.tick().map_err(exhausted)?;
-                if live.placed.contains_key(&id) {
-                    stats.query_hits += 1;
-                } else {
-                    stats.query_misses += 1;
-                }
-            }
-            TraceOp::Snapshot => {
-                gas.tick_n(live.tasks.len() as u64 + 1).map_err(exhausted)?;
-                snap = Some(Scratch {
-                    ids: live.ids.clone(),
-                    tasks: live.tasks.clone(),
-                    placed: live.placed.clone(),
-                });
-                stats.snapshots += 1;
-            }
-            TraceOp::Rollback => {
-                gas.tick_n(live.tasks.len() as u64 + 1).map_err(exhausted)?;
-                let s = snap.as_ref().expect("parser rejects early rollback");
-                live.ids = s.ids.clone();
-                live.tasks = s.tasks.clone();
-                live.placed = s.placed.clone();
-                stats.rollbacks += 1;
-            }
-            TraceOp::Repack => {
-                // The baseline is always canonical; re-run for cost parity.
-                if rerun(&mut live, gas).map_err(exhausted)? {
-                    stats.repacks += 1;
-                } else {
-                    stats.repacks_infeasible += 1;
-                }
-            }
-        }
-    }
-    stats.final_live = live.tasks.len() as u64;
-    Ok(stats)
+    let events = trace_events(std::slice::from_ref(inst));
+    let s = only(drive(events, open, gas, sink)?)?;
+    Ok((s.stats, s.digest))
 }
 
 /// Replay one instance in the given mode under `gas`.
@@ -783,13 +674,65 @@ pub fn replay_instance<A, S>(
     sink: &S,
 ) -> Result<ReplayStats, ReplayError>
 where
-    A: IndexableAdmission,
+    A: IndexableAdmission + Clone,
     S: MetricsSink,
 {
-    match mode {
-        ReplayMode::Incremental => replay_incremental(admission, inst, alpha, gas, sink),
-        ReplayMode::FromScratch => replay_from_scratch(admission, inst, alpha, gas, sink),
+    let events = trace_events(std::slice::from_ref(inst));
+    let done = replay_events(events, admission, alpha, mode, gas, sink)?;
+    Ok(only(done)?.stats)
+}
+
+/// Replay one instance on a journaled [`DurableEngine`] over `store`:
+/// every mutating op is appended to the write-ahead journal before it is
+/// applied, so a kill at any point leaves a journal that
+/// [`hetfeas_partition::recover`] replays back to the bit-identical
+/// engine. `events` comes from [`trace_events`] or [`stream_events`] and
+/// must hold exactly **one** instance — a journal describes a single
+/// engine. The summary's digest is the engine's
+/// [`DurableEngine::state_digest`]; `hetfeas recover` prints the same
+/// digest, which is how `scripts/crash_smoke.sh` compares a recovered
+/// state against an uncrashed reference across processes.
+#[allow(clippy::too_many_arguments)]
+pub fn replay_durable<A, S, I>(
+    events: I,
+    admission: A,
+    alpha: Augmentation,
+    policy_key: &str,
+    opts: DurableOptions,
+    store: Box<dyn Storage>,
+    gas: &mut Gas,
+    sink: &S,
+) -> Result<StreamSummary, StreamError>
+where
+    A: IndexableAdmission,
+    S: MetricsSink,
+    I: IntoIterator<Item = Result<TraceEvent, StreamError>>,
+{
+    let mut parts = Some((admission, store));
+    let open = |p: &Platform, gas: &mut Gas, sink: &S| {
+        let Some((admission, store)) = parts.take() else {
+            let message = "journaled replay needs a single-instance trace".to_string();
+            return Err(ReplayError::Trace {
+                op_index: 0,
+                message,
+            });
+        };
+        DurableEngine::create(admission, p, alpha, policy_key, opts, store, gas, sink)
+            .map_err(|e| ReplayError::at(0, e))
+    };
+    Ok(only(drive(events, open, gas, sink)?)?)
+}
+
+/// Fold per-instance digests into one order-sensitive trace digest (the
+/// CRC32 of the concatenated little-endian digests), so a streaming run
+/// and a materialized run over a multi-instance trace compare with a
+/// single number.
+pub fn combine_digests<I: IntoIterator<Item = u32>>(digests: I) -> u32 {
+    let mut buf = Vec::new();
+    for d in digests {
+        buf.extend_from_slice(&d.to_le_bytes());
     }
+    crc32(&buf)
 }
 
 /// Shard a trace's independent instances across `workers` threads.
@@ -810,7 +753,7 @@ pub fn replay_sharded<A, S>(
     budget_ms: Option<u64>,
     progress: Option<&Progress>,
     sink: &S,
-) -> Vec<Result<ReplayStats, ReplayError>>
+) -> Vec<Result<StreamSummary<Option<u32>>, ReplayError>>
 where
     A: IndexableAdmission + Clone + Sync,
     S: MetricsSink + Sync,
@@ -828,7 +771,9 @@ where
             }
             None => Gas::unlimited(),
         };
-        let out = replay_instance(admission.clone(), inst, alpha, mode, &mut gas, sink);
+        let events = trace_events(std::slice::from_ref(inst));
+        let out =
+            replay_events(events, admission.clone(), alpha, mode, &mut gas, sink).and_then(only);
         if let Some(p) = progress {
             let done = p.tick();
             if done % step == 0 || done == total {
@@ -925,6 +870,50 @@ end
     }
 
     #[test]
+    fn early_rollback_is_a_trace_error_for_every_engine() {
+        use hetfeas_robust::journal::MemStorage;
+
+        let inst = TraceInstance {
+            ops: vec![TraceOp::Rollback],
+            ..one_instance()
+        };
+        let run = |mode| {
+            replay_instance(
+                EdfAdmission,
+                &inst,
+                Augmentation::NONE,
+                mode,
+                &mut Gas::unlimited(),
+                &(),
+            )
+            .expect_err("rollback before any snapshot")
+        };
+        let journaled = match replay_durable(
+            trace_events(std::slice::from_ref(&inst)),
+            EdfAdmission,
+            Augmentation::NONE,
+            "edf",
+            DurableOptions::default(),
+            Box::new(MemStorage::new()),
+            &mut Gas::unlimited(),
+            &(),
+        ) {
+            Err(StreamError::Replay(e)) => e,
+            other => panic!("journaled replay gave {other:?}"),
+        };
+        for err in [
+            run(ReplayMode::Incremental),
+            journaled,
+            run(ReplayMode::FromScratch),
+        ] {
+            assert!(
+                matches!(err, ReplayError::Trace { op_index: 0, .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn exhaustion_reports_the_failing_op() {
         let inst = one_instance();
         let mut gas = Budget::ops(2).gas();
@@ -970,8 +959,9 @@ end
         assert_eq!(results.len(), 5);
         assert_eq!(progress.done(), 5);
         for r in &results {
-            let stats = r.as_ref().expect("each instance completes");
-            assert_eq!(stats.ops, 1);
+            let done = r.as_ref().expect("each instance completes");
+            assert_eq!(done.stats.ops, 1);
+            assert!(done.digest.is_some(), "incremental runs digest");
         }
     }
 
@@ -992,9 +982,9 @@ end
         .expect("plain replay completes");
 
         let store = MemStorage::new();
-        let (stats, digest) = replay_durable(
+        let durable = replay_durable(
+            trace_events(std::slice::from_ref(&inst)),
             EdfAdmission,
-            &inst,
             Augmentation::NONE,
             "edf",
             DurableOptions::default(),
@@ -1003,6 +993,7 @@ end
             &(),
         )
         .expect("durable replay completes");
+        let (stats, digest) = (durable.stats, durable.digest);
         assert_eq!(stats, plain, "journaling must not change protocol outcomes");
 
         let (rec, report) =
@@ -1053,9 +1044,9 @@ end
         write_op_trace_bin(&trace, &mut bin).expect("encodes");
 
         let mut gas = Gas::unlimited();
-        let (mat_stats, mat_digest) = replay_durable(
+        let mat = replay_durable(
+            trace_events(&trace.instances),
             EdfAdmission,
-            &trace.instances[0],
             Augmentation::NONE,
             "edf",
             DurableOptions::default(),
@@ -1067,8 +1058,8 @@ end
 
         let store = MemStorage::new();
         let mut stream = OpStream::new(&bin[..]).expect("valid header");
-        let (name, stats, digest) = replay_durable_stream(
-            &mut stream,
+        let streamed = replay_durable(
+            stream_events(&mut stream),
             EdfAdmission,
             Augmentation::NONE,
             "edf",
@@ -1078,9 +1069,10 @@ end
             &(),
         )
         .expect("streamed durable replay");
-        assert_eq!(name, "churn");
-        assert_eq!(stats, mat_stats);
-        assert_eq!(digest, mat_digest);
+        assert_eq!(streamed.name, "churn");
+        assert_eq!(streamed.stats, mat.stats);
+        assert_eq!(streamed.digest, mat.digest);
+        let digest = streamed.digest;
 
         let (rec, _) =
             hetfeas_partition::recover(EdfAdmission, Box::new(store), "edf", &mut gas, &())

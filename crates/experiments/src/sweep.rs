@@ -98,7 +98,7 @@ impl Checkpoint {
     /// instead of silently resuming from damaged state.
     pub fn to_json(&self) -> Json {
         let cells = self.cells_json();
-        let crc = hetfeas_robust::journal::crc32(cells.render_pretty(2).as_bytes());
+        let crc = hetfeas_model::io::bin::crc32(cells.render_pretty(2).as_bytes());
         Json::Obj(vec![
             ("tool".to_string(), Json::str("run-experiments")),
             ("kind".to_string(), Json::str("sweep-checkpoint")),
@@ -133,7 +133,7 @@ impl Checkpoint {
         // The parse→render round trip is canonical (ordered object pairs,
         // string leaves), so re-rendering the parsed node reproduces the
         // exact bytes the writer checksummed.
-        let computed = hetfeas_robust::journal::crc32(cells_node.render_pretty(2).as_bytes());
+        let computed = hetfeas_model::io::bin::crc32(cells_node.render_pretty(2).as_bytes());
         if computed != stored {
             return Err(format!(
                 "checkpoint checksum mismatch (stored {stored:08x}, computed {computed:08x}) — \

@@ -6,7 +6,8 @@
 //! literals, so a change that moves both paths alike still shows.
 
 use hetfeas_experiments::{
-    combine_digests, replay_durable, replay_durable_stream, replay_instance_digest, replay_stream,
+    combine_digests, replay_durable, replay_instance_digest, replay_stream, stream_events,
+    trace_events,
 };
 use hetfeas_model::{write_op_trace_bin, Augmentation, OpStream, OpTrace, TraceInstance};
 use hetfeas_partition::{DurableOptions, EdfAdmission, RmsLlAdmission};
@@ -135,9 +136,9 @@ fn durable_stream_matches_durable_replay_under_sliced_compaction() {
         slice_bytes: 96,
         ..DurableOptions::default()
     };
-    let (want_stats, want_digest) = replay_durable(
+    let want = replay_durable(
+        trace_events(std::slice::from_ref(&inst)),
         RmsLlAdmission,
-        &inst,
         Augmentation::NONE,
         "rms-ll",
         opts,
@@ -152,8 +153,8 @@ fn durable_stream_matches_durable_replay_under_sliced_compaction() {
     };
     let bytes = write_op_trace_bin(&trace, Vec::new()).expect("encode");
     let mut stream = OpStream::new(&bytes[..]).expect("header");
-    let (name, got_stats, got_digest) = replay_durable_stream(
-        &mut stream,
+    let got = replay_durable(
+        stream_events(&mut stream),
         RmsLlAdmission,
         Augmentation::NONE,
         "rms-ll",
@@ -163,11 +164,11 @@ fn durable_stream_matches_durable_replay_under_sliced_compaction() {
         &(),
     )
     .expect("streamed durable replays");
-    assert_eq!(name, "synth-0");
-    assert_eq!(got_digest, want_digest);
-    assert_eq!(got_stats.ops, want_stats.ops);
-    assert_eq!(got_stats.admitted, want_stats.admitted);
-    assert_eq!(got_stats.rollbacks, want_stats.rollbacks);
+    assert_eq!(got.name, "synth-0");
+    assert_eq!(got.digest, want.digest);
+    assert_eq!(got.stats.ops, want.stats.ops);
+    assert_eq!(got.stats.admitted, want.stats.admitted);
+    assert_eq!(got.stats.rollbacks, want.stats.rollbacks);
 }
 
 /// Per-instance digests of a streamed replay under `admission`, and the

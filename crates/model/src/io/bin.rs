@@ -116,9 +116,8 @@ fn corrupt(offset: u64, message: impl Into<String>) -> BinTraceError {
     }
 }
 
-// CRC32 (IEEE reflected, poly 0xEDB88320) — the same framing checksum the
-// robust journal uses; duplicated here because model sits below robust in
-// the crate DAG and must stay dependency-free.
+// CRC32 (IEEE reflected, poly 0xEDB88320): the workspace's one checksum,
+// framing both HBT1 frames and the robust journal's records.
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -141,7 +140,7 @@ const fn crc_table() -> [u32; 256] {
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC32 of `data` (IEEE, as used for frame checksums).
+/// CRC32 of `data` (IEEE 802.3, the zlib/PNG variant).
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in data {

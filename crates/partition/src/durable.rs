@@ -51,9 +51,10 @@ use crate::engine::IndexableAdmission;
 use crate::incremental::{
     AddOutcome, EngineState, IncrSnapshot, IncrementalEngine, RepackOutcome, RepairPolicy, TaskId,
 };
+use hetfeas_model::io::bin::crc32;
 use hetfeas_model::{Augmentation, Machine, Platform, Ratio, Task};
 use hetfeas_obs::MetricsSink;
-use hetfeas_robust::journal::{crc32, encode_record, scan_records, Journal, JournalError, Storage};
+use hetfeas_robust::journal::{encode_record, scan_records, Journal, JournalError, Storage};
 use hetfeas_robust::{metrics as rmetrics, Exhaustion, Gas};
 
 /// First line of every journal's config record; bumping the format bumps

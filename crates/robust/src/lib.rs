@@ -48,6 +48,6 @@ pub use budget::{Budget, Exhaustion, Gas, SharedBudget, SharedGas};
 pub use fault::{FaultCase, FaultKind, FaultPlan};
 pub use firewall::{guard, guard_with, PanicReport};
 pub use journal::{
-    atomic_write, crc32, FaultFs, FaultScript, FileStorage, Journal, JournalError, MemStorage,
-    Storage, TailReport,
+    atomic_write, FaultFs, FaultScript, FileStorage, Journal, JournalError, MemStorage, Storage,
+    TailReport,
 };

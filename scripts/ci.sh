@@ -36,6 +36,11 @@
 # the seeded fault storms, the network-chaos exactly-once matrix, and
 # both cross-process kill -9 stages (stdin session and TCP with a
 # retrying `call` client).
+#
+# Before the gates, the benchmark package (perfbench/) is built the way
+# perfbench/run.py builds it and each workload runs for 1 s; the stage
+# fails unless the result line reports `"correct": true` and
+# `"failed": 0`.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,6 +61,23 @@ echo "== crash-recovery smoke (scripts/crash_smoke.sh)" >&2
 HETFEAS_BIN=target/debug/hetfeas bash scripts/crash_smoke.sh
 echo "== chaos smoke (scripts/chaos_smoke.sh)" >&2
 HETFEAS_BIN=target/debug/hetfeas bash scripts/chaos_smoke.sh
+echo "== benchmark build + 1 s run per workload (perfbench/run.py)" >&2
+# run.py builds perfbench/ in release, offline, into its own
+# CARGO_TARGET_DIR (default .bench_build) and prints one JSON result line
+# last. This stage gates correctness only: every replayed digest and
+# verdict must check out, with no failed operation.
+for workload in batch-feasibility trace-replay; do
+    if ! result="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 0 | tail -n1)"; then
+        echo "ci: FAIL — perfbench $workload did not run to a result" >&2
+        exit 1
+    fi
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -Eq '"failed": 0[,}]' <<<"$result"; then
+        echo "ci: FAIL — perfbench $workload: ${result:0:300}" >&2
+        exit 1
+    fi
+    echo "ci: perfbench $workload correct, 0 failed — ok" >&2
+done
 
 if [[ -n "${SKIP_BENCH_GATE:-}" ]]; then
     echo "== bench gate skipped (SKIP_BENCH_GATE set)" >&2

@@ -80,31 +80,31 @@
 //!
 //! `hetfeas ops` replays an op trace (`begin`/`machine`/`add`/`remove`/
 //! `query`/`snapshot`/`rollback`/`repack`/`end` lines, see
-//! `hetfeas::model::io`) through the online admission engine, sharding
-//! independent instances across `--workers` threads with live `done/total`
-//! progress on stderr. `--mode from-scratch` runs the batch first-fit
-//! baseline instead — the pair is what `scripts/bench_smoke.sh` compares.
-//! Exit 3 if any instance exhausted its budget; a semantically malformed
-//! trace (e.g. an `add` reusing a live id) exits 2.
+//! `hetfeas::model::io`, or their binary HBT1 form) through the online
+//! admission engine, or with `--mode from-scratch` through the batch
+//! first-fit baseline — the pair `scripts/bench_smoke.sh` compares. A
+//! text trace shards its instances across `--workers` threads with live
+//! `done/total` progress on stderr; a binary one replays as a pull-based
+//! stream in bounded RSS. Both print the same summary line and, for
+//! incremental runs, the same `combined digest`. Exit 3 if the budget ran
+//! out; a semantically malformed trace (e.g. an `add` reusing a live id)
+//! exits 2.
 //!
 //! `hetfeas trace synth` deterministically synthesizes op-trace workloads
 //! (diurnal arrival waves, churn bursts, heavy-tailed lifetimes, optional
 //! adversarial arrivals drawn from the fault corpus) as streaming binary
 //! `.hbt` traces; `hetfeas trace convert` round-trips between the text and
-//! binary formats. `ops --trace X.hbt` detects the binary magic and
-//! replays as a pull-based stream — only the live engine state is ever
-//! resident, so million-op traces replay in bounded RSS with the same
-//! digests as a materialized text replay.
+//! binary formats.
 //!
 //! `ops --journal FILE` runs a single-instance incremental replay through
 //! the crash-safe durability layer: every op is appended to a
 //! length-prefixed, CRC32-checksummed write-ahead journal *before* it is
 //! applied, with periodic snapshot compaction (`--compact-every N`
 //! records, 0 = never) copied in bounded `--slice-bytes B` slices that
-//! interleave with live appends. `hetfeas recover JOURNAL` rebuilds the engine from
-//! such a journal — truncating a torn or corrupt tail — and prints the
-//! recovered state digest; a journal with no intact config record exits 2,
-//! a recovery that exhausts `--budget-ms` exits 3. The
+//! interleave with live appends. `hetfeas recover JOURNAL` rebuilds the
+//! engine from such a journal — truncating a torn or corrupt tail — and
+//! prints the recovered state digest; a journal with no intact config
+//! record exits 2, a recovery that exhausts `--budget-ms` exits 3. The
 //! `HETFEAS_JOURNAL_CRASH_AT` / `HETFEAS_JOURNAL_TRANSIENT` /
 //! `HETFEAS_JOURNAL_SHORT_WRITE_AT` / `HETFEAS_JOURNAL_FAIL_SYNC_AT`
 //! environment knobs inject deterministic IO faults into the journaled
@@ -112,13 +112,13 @@
 
 use hetfeas::analysis;
 use hetfeas::experiments::{
-    combine_digests, replay_durable, replay_durable_stream, replay_sharded, replay_stream,
+    combine_digests, replay_durable, replay_events, replay_sharded, stream_events, trace_events,
     ReplayError, ReplayMode, ReplayStats, StreamError, StreamSummary,
 };
 use hetfeas::lp::{level_scaling_factor, lp_feasible};
 use hetfeas::model::{
     is_binary_trace, parse_op_trace, parse_system, read_op_trace_bin, render_op_trace,
-    render_system, write_op_trace_bin, Augmentation, OpStream, OpTrace, Ratio, System,
+    render_system, write_op_trace_bin, Augmentation, OpStream, OpTrace, Ratio, System, TraceEvent,
     TraceInstance, TraceWriter,
 };
 use hetfeas::obs::{Json, MemorySink, MetricsSink, RunReport};
@@ -1101,59 +1101,6 @@ fn cmd_faults(c: &Common) -> Result<ExitCode, String> {
     Ok(worst)
 }
 
-/// Dispatch [`replay_sharded`] over the policy's indexed admission test.
-/// RMS-RTA has no incremental form (its response-time fixpoint is not a
-/// fold), so it is rejected up front.
-#[allow(clippy::too_many_arguments)]
-fn ops_results<S: MetricsSink + Sync>(
-    trace: &OpTrace,
-    policy: Policy,
-    alpha: Augmentation,
-    mode: ReplayMode,
-    workers: usize,
-    budget_ms: Option<u64>,
-    progress: &Progress,
-    sink: &S,
-) -> Result<Vec<Result<ReplayStats, ReplayError>>, String> {
-    Ok(match policy {
-        Policy::Edf => replay_sharded(
-            trace,
-            EdfAdmission,
-            alpha,
-            mode,
-            workers,
-            budget_ms,
-            Some(progress),
-            sink,
-        ),
-        Policy::RmsLl => replay_sharded(
-            trace,
-            RmsLlAdmission,
-            alpha,
-            mode,
-            workers,
-            budget_ms,
-            Some(progress),
-            sink,
-        ),
-        Policy::RmsHyperbolic => replay_sharded(
-            trace,
-            RmsHyperbolicAdmission,
-            alpha,
-            mode,
-            workers,
-            budget_ms,
-            Some(progress),
-            sink,
-        ),
-        Policy::RmsRta => {
-            return Err(
-                "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
-            )
-        }
-    })
-}
-
 /// Open the journal file as a [`Storage`], wrapping it in the deterministic
 /// fault-injection layer when any `HETFEAS_JOURNAL_*` knob is set.
 fn journal_store(path: &str) -> Box<dyn Storage> {
@@ -1181,140 +1128,154 @@ fn durable_opts(c: &Common) -> DurableOptions {
     opts
 }
 
-/// The `journal: …` summary line shared by the journaled replay paths.
-fn journal_summary(sink: &MemorySink) -> String {
-    use hetfeas::robust::metrics as jm;
-    format!(
-        "journal: {} appends, {} bytes, {} syncs, {} retries, {} compactions \
-         ({} slices, {} bytes reclaimed)",
-        sink.counter(jm::JOURNAL_APPENDS),
-        sink.counter(jm::JOURNAL_BYTES_WRITTEN),
-        sink.counter(jm::JOURNAL_SYNCS),
-        sink.counter(jm::JOURNAL_RETRIES),
-        sink.counter(jm::JOURNAL_COMPACTIONS),
-        sink.counter(jm::JOURNAL_COMPACT_SLICES),
-        sink.counter(jm::JOURNAL_BYTES_RECLAIMED),
-    )
+/// The trace `ops` replays: a parsed text trace, or a binary HBT1 trace
+/// decoded frame by frame as it replays.
+enum OpsSource {
+    Text(OpTrace),
+    Binary(OpStream<std::io::BufReader<std::fs::File>>),
 }
 
-/// `ops --journal FILE`: single-instance incremental replay through the
-/// write-ahead journal. IO errors (including injected crash faults) exit 2;
-/// an exhausted budget exits 3.
-fn cmd_ops_journaled(
-    c: &Common,
-    path: &str,
-    trace: &OpTrace,
-    journal_path: &str,
-    alpha: Augmentation,
-) -> Result<ExitCode, String> {
-    if c.mode != "incremental" {
-        return Err("--journal requires --mode incremental".into());
+impl OpsSource {
+    /// Open `path` as whichever format its first bytes name.
+    fn open(path: &str) -> Result<Self, String> {
+        use std::io::{BufRead as _, Read as _};
+        let read_err = |e: std::io::Error| format!("read {path}: {e}");
+        let file = std::fs::File::open(path).map_err(read_err)?;
+        let mut file = std::io::BufReader::with_capacity(1 << 20, file);
+        if is_binary_trace(file.fill_buf().map_err(read_err)?) {
+            let stream = OpStream::new(file).map_err(|e| format!("{path}: {e}"))?;
+            return Ok(OpsSource::Binary(stream));
+        }
+        let mut text = String::new();
+        file.read_to_string(&mut text).map_err(read_err)?;
+        let trace = parse_op_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+        Ok(OpsSource::Text(trace))
     }
-    let [inst] = trace.instances.as_slice() else {
-        return Err(format!(
-            "--journal replays exactly one instance; {path} holds {}",
-            trace.instances.len()
-        ));
-    };
-    let opts = durable_opts(c);
-    let mut gas = gas_for(c);
-    let sink = MemorySink::new();
-    let result = match c.policy {
-        Policy::Edf => replay_durable(
-            EdfAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
-        Policy::RmsLl => replay_durable(
-            RmsLlAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
-        Policy::RmsHyperbolic => replay_durable(
-            RmsHyperbolicAdmission,
-            inst,
-            alpha,
-            c.policy.key(),
-            opts,
-            journal_store(journal_path),
-            &mut gas,
-            &sink,
-        ),
+}
+
+/// One instance of an `ops` run; an instance that failed keeps its name.
+type OpsResult = Result<StreamSummary<Option<u32>>, (String, ReplayError)>;
+
+/// Run `ops` under the policy's indexed admission test. RMS-RTA has no
+/// incremental form (its response-time fixpoint is not a fold), so it is
+/// rejected up front.
+fn ops_run<S: MetricsSink + Sync>(
+    c: &Common,
+    src: &mut OpsSource,
+    alpha: Augmentation,
+    mode: ReplayMode,
+    workers: usize,
+    sink: &S,
+) -> Result<Result<Vec<OpsResult>, StreamError>, String> {
+    Ok(match c.policy {
+        Policy::Edf => ops_replay(c, src, EdfAdmission, alpha, mode, workers, sink),
+        Policy::RmsLl => ops_replay(c, src, RmsLlAdmission, alpha, mode, workers, sink),
+        Policy::RmsHyperbolic => {
+            ops_replay(c, src, RmsHyperbolicAdmission, alpha, mode, workers, sink)
+        }
         Policy::RmsRta => {
             return Err(
                 "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
             )
         }
-    };
-    let (stats, digest) = match result {
-        Ok(v) => v,
-        Err(ReplayError::Exhausted { op_index, cause }) => {
-            println!(
-                "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                cause.as_str()
-            );
-            return Ok(ExitCode::from(3));
-        }
-        Err(e) => return Err(format!("{path}: instance {:?}: {e}", inst.name)),
-    };
-    println!(
-        "{} ops journaled+replayed: {} admitted, {} rejected, {} removed, \
-         {} repacks, {} snapshots, {} rollbacks, live {}",
-        stats.ops,
-        stats.admitted,
-        stats.rejected,
-        stats.removed,
-        stats.repacks,
-        stats.snapshots,
-        stats.rollbacks,
-        stats.final_live
-    );
-    println!("{}", journal_summary(&sink));
-    println!("journal digest {digest:08x}");
-    if let Some(out) = &c.report {
-        let mut r = RunReport::new("hetfeas", "ops");
-        r.set("input", Json::Str(path.to_string()))
-            .set("policy", Json::Str(c.policy.key().into()))
-            .set("mode", Json::Str("incremental".into()))
-            .set("journal", Json::Str(journal_path.to_string()))
-            .set("workers", Json::UInt(1))
-            .set("ops", Json::UInt(stats.ops))
-            .set("admitted", Json::UInt(stats.admitted))
-            .set("rejected", Json::UInt(stats.rejected))
-            .set("removed", Json::UInt(stats.removed))
-            .set("snapshots", Json::UInt(stats.snapshots))
-            .set("rollbacks", Json::UInt(stats.rollbacks))
-            .set("repacks", Json::UInt(stats.repacks))
-            .set("final_live", Json::UInt(stats.final_live))
-            .set("digest", Json::Str(format!("{digest:08x}")))
-            .set(
-                "journal_compact_slices",
-                Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_COMPACT_SLICES)),
-            )
-            .set(
-                "journal_bytes_reclaimed",
-                Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_BYTES_RECLAIMED)),
-            )
-            .set("verdict", Json::Str("replayed".into()));
-        r.attach_metrics(&sink.snapshot());
-        write_report(out, &r)?;
-    }
-    Ok(ExitCode::SUCCESS)
+    })
 }
 
-/// Replay an op trace through the online admission engine (or the batch
-/// from-scratch baseline), sharding instances across worker threads.
+/// Replay `src` under `admission`: a text trace's instances shard across
+/// `workers` threads, each under its share of `--budget-ms`; a binary
+/// trace, or any trace with `--journal`, replays in this thread under one
+/// budget.
+fn ops_replay<A, S>(
+    c: &Common,
+    src: &mut OpsSource,
+    admission: A,
+    alpha: Augmentation,
+    mode: ReplayMode,
+    workers: usize,
+    sink: &S,
+) -> Result<Vec<OpsResult>, StreamError>
+where
+    A: IndexableAdmission + Clone + Sync,
+    S: MetricsSink + Sync,
+{
+    let _t = sink.timer("phase.replay");
+    match src {
+        OpsSource::Text(trace) if c.journal.is_none() => {
+            let progress = Progress::new(trace.instances.len() as u64);
+            let results = replay_sharded(
+                trace,
+                admission,
+                alpha,
+                mode,
+                workers,
+                c.budget_ms,
+                Some(&progress),
+                sink,
+            );
+            Ok(results
+                .into_iter()
+                .zip(&trace.instances)
+                .map(|(r, inst)| r.map_err(|e| (inst.name.clone(), e)))
+                .collect())
+        }
+        OpsSource::Text(trace) => ops_events(
+            c,
+            trace_events(&trace.instances),
+            admission,
+            alpha,
+            mode,
+            sink,
+        ),
+        OpsSource::Binary(stream) => {
+            ops_events(c, stream_events(stream), admission, alpha, mode, sink)
+        }
+    }
+}
+
+/// Replay one event source in order, through the write-ahead journal when
+/// `--journal` names one.
+fn ops_events<A, S, I>(
+    c: &Common,
+    events: I,
+    admission: A,
+    alpha: Augmentation,
+    mode: ReplayMode,
+    sink: &S,
+) -> Result<Vec<OpsResult>, StreamError>
+where
+    A: IndexableAdmission + Clone,
+    S: MetricsSink,
+    I: IntoIterator<Item = Result<TraceEvent, StreamError>>,
+{
+    let mut gas = gas_for(c);
+    let done = match &c.journal {
+        Some(path) => {
+            let s = replay_durable(
+                events,
+                admission,
+                alpha,
+                c.policy.key(),
+                durable_opts(c),
+                journal_store(path),
+                &mut gas,
+                sink,
+            )?;
+            vec![StreamSummary {
+                name: s.name,
+                stats: s.stats,
+                digest: Some(s.digest),
+            }]
+        }
+        None => replay_events(events, admission, alpha, mode, &mut gas, sink)?,
+    };
+    Ok(done.into_iter().map(Ok).collect())
+}
+
+/// Replay an op trace, text or binary, through the online admission
+/// engine, the from-scratch baseline, or (`--journal`) the journaled
+/// engine, and print one summary whatever the source.
 fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
+    use hetfeas::robust::metrics as jm;
     let path = c
         .trace
         .as_ref()
@@ -1326,27 +1287,6 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
     if c.slice_bytes.is_some() && c.journal.is_none() {
         return Err("--slice-bytes requires --journal".into());
     }
-    let head = {
-        use std::io::Read as _;
-        let mut f = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
-        let mut buf = [0u8; 8];
-        let mut n = 0;
-        while n < buf.len() {
-            match f
-                .read(&mut buf[n..])
-                .map_err(|e| format!("read {path}: {e}"))?
-            {
-                0 => break,
-                k => n += k,
-            }
-        }
-        buf[..n].to_vec()
-    };
-    if is_binary_trace(&head) {
-        return cmd_ops_stream(c, path);
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let trace = parse_op_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     let mode = match c.mode.as_str() {
         "incremental" => ReplayMode::Incremental,
         "from-scratch" => ReplayMode::FromScratch,
@@ -1356,76 +1296,79 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
             ))
         }
     };
-    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
-    if let Some(journal_path) = c.journal.clone() {
-        return cmd_ops_journaled(c, path, &trace, &journal_path, alpha);
+    if c.journal.is_some() && mode != ReplayMode::Incremental {
+        return Err("--journal requires --mode incremental".into());
     }
-    let workers = c.workers.unwrap_or_else(|| default_workers(8));
-    let total_ops: usize = trace.instances.iter().map(|i| i.ops.len()).sum();
-    println!(
-        "{} instances ({} ops), policy {}, mode {}, {} workers",
-        trace.instances.len(),
-        total_ops,
-        c.policy.name(),
-        mode.as_str(),
-        workers
-    );
-    let progress = Progress::new(trace.instances.len() as u64);
-    let sink = c.report.as_ref().map(|_| MemorySink::new());
-    let results = match &sink {
-        Some(s) => {
-            let _t = s.timer("phase.replay");
-            ops_results(
-                &trace,
-                c.policy,
-                alpha,
-                mode,
-                workers,
-                c.budget_ms,
-                &progress,
-                s,
-            )?
+    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
+    let mut src = OpsSource::open(path)?;
+    let trace_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    let mut workers = 1;
+    match &src {
+        OpsSource::Text(trace) => {
+            let n = trace.instances.len();
+            if c.journal.is_some() && n != 1 {
+                return Err(format!(
+                    "--journal replays exactly one instance; {path} holds {n}"
+                ));
+            }
+            if c.journal.is_none() {
+                workers = c.workers.unwrap_or_else(|| default_workers(8));
+            }
+            let ops: usize = trace.instances.iter().map(|i| i.ops.len()).sum();
+            print!("{n} instances ({ops} ops)");
         }
-        None => ops_results(
-            &trace,
-            c.policy,
-            alpha,
-            mode,
-            workers,
-            c.budget_ms,
-            &progress,
-            &(),
-        )?,
+        OpsSource::Binary(_) => print!("binary trace {path} ({trace_bytes} bytes)"),
+    }
+    println!(
+        ", policy {}, mode {}, {workers} workers",
+        c.policy.name(),
+        mode.as_str()
+    );
+    let sink = (c.report.is_some() || c.journal.is_some()).then(MemorySink::new);
+    let run = match &sink {
+        Some(s) => ops_run(c, &mut src, alpha, mode, workers, s),
+        None => ops_run(c, &mut src, alpha, mode, workers, &()),
+    }?;
+    let results = match run {
+        Ok(results) => results,
+        Err(StreamError::Replay(e @ ReplayError::Exhausted { .. })) => {
+            println!("UNDECIDED — {e}");
+            return Ok(ExitCode::from(3));
+        }
+        Err(e) => return Err(format!("{path}: {e}")),
     };
+
     let mut total = ReplayStats::default();
     let mut exhausted = 0u64;
-    for (i, r) in results.iter().enumerate() {
-        let name = &trace.instances[i].name;
+    for r in &results {
         match r {
-            Ok(stats) => {
-                total.merge(stats);
+            Ok(s) => {
+                total.merge(&s.stats);
                 if c.verbose {
+                    let digest = s.digest.map(|d| format!(", digest {d:08x}"));
                     println!(
-                        "  {name}: {} ops, {} admitted, {} rejected, {} removed, live {}",
-                        stats.ops, stats.admitted, stats.rejected, stats.removed, stats.final_live
+                        "  {}: {} ops, {} admitted, {} rejected, {} removed, live {}{}",
+                        s.name,
+                        s.stats.ops,
+                        s.stats.admitted,
+                        s.stats.rejected,
+                        s.stats.removed,
+                        s.stats.final_live,
+                        digest.unwrap_or_default()
                     );
                 }
             }
-            Err(ReplayError::Exhausted { op_index, cause }) => {
+            Err((name, e @ ReplayError::Exhausted { .. })) => {
                 exhausted += 1;
-                println!(
-                    "  {name}: UNDECIDED — budget exhausted ({}) at op {op_index}",
-                    cause.as_str()
-                );
+                println!("  {name}: UNDECIDED — {e}");
             }
-            Err(e @ (ReplayError::Trace { .. } | ReplayError::Io { .. })) => {
-                return Err(format!("{path}: instance {name:?}: {e}"));
-            }
+            Err((name, e)) => return Err(format!("{path}: instance {name:?}: {e}")),
         }
     }
     println!(
-        "{} ops replayed: {} admitted, {} rejected, {} removed ({} misses), \
-         {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, {} rollbacks",
+        "{} instances, {} ops replayed: {} admitted, {} rejected, {} removed ({} misses), \
+         {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, {} rollbacks, live {}",
+        results.len() as u64 - exhausted,
         total.ops,
         total.admitted,
         total.rejected,
@@ -1436,21 +1379,50 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
         total.repacks,
         total.repacks_infeasible,
         total.snapshots,
-        total.rollbacks
+        total.rollbacks,
+        total.final_live
     );
-    if exhausted > 0 {
-        println!(
-            "UNDECIDED — {exhausted} of {} instances exhausted the budget",
-            trace.instances.len()
-        );
+    // Every finished incremental instance carries a digest; a from-scratch
+    // run or an exhausted instance leaves none to combine.
+    let digests: Option<Vec<u32>> = results.iter().map(|r| r.as_ref().ok()?.digest).collect();
+    let combined = digests
+        .filter(|_| mode == ReplayMode::Incremental)
+        .map(combine_digests);
+    if let Some(d) = combined {
+        println!("combined digest {d:08x}");
     }
+    let journal = c.journal.as_ref().zip(sink.as_ref());
+    let journal_digest = results.first().and_then(|r| r.as_ref().ok()?.digest);
+    if let (Some((_, s)), Some(d)) = (journal, journal_digest) {
+        println!(
+            "journal: {} appends, {} bytes, {} syncs, {} retries, {} compactions \
+             ({} slices, {} bytes reclaimed)",
+            s.counter(jm::JOURNAL_APPENDS),
+            s.counter(jm::JOURNAL_BYTES_WRITTEN),
+            s.counter(jm::JOURNAL_SYNCS),
+            s.counter(jm::JOURNAL_RETRIES),
+            s.counter(jm::JOURNAL_COMPACTIONS),
+            s.counter(jm::JOURNAL_COMPACT_SLICES),
+            s.counter(jm::JOURNAL_BYTES_RECLAIMED),
+        );
+        println!("journal digest {d:08x}");
+    }
+    let (verdict, code) = if exhausted == 0 {
+        ("replayed", ExitCode::SUCCESS)
+    } else {
+        let n = results.len();
+        println!("UNDECIDED — {exhausted} of {n} instances exhausted the budget");
+        ("undecided", ExitCode::from(3))
+    };
     if let (Some(out), Some(s)) = (&c.report, &sink) {
         let mut r = RunReport::new("hetfeas", "ops");
         r.set("input", Json::Str(path.clone()))
             .set("policy", Json::Str(c.policy.key().into()))
             .set("mode", Json::Str(mode.as_str().into()))
             .set("workers", Json::UInt(workers as u64))
-            .set("instances", Json::UInt(trace.instances.len() as u64))
+            .set("streaming", Json::Bool(matches!(src, OpsSource::Binary(_))))
+            .set("trace_bytes", Json::UInt(trace_bytes))
+            .set("instances", Json::UInt(results.len() as u64))
             .set("exhausted", Json::UInt(exhausted))
             .set("ops", Json::UInt(total.ops))
             .set("admitted", Json::UInt(total.admitted))
@@ -1463,235 +1435,27 @@ fn cmd_ops(c: &Common) -> Result<ExitCode, String> {
             .set("rollbacks", Json::UInt(total.rollbacks))
             .set("repacks", Json::UInt(total.repacks))
             .set("repacks_infeasible", Json::UInt(total.repacks_infeasible))
-            .set("final_live", Json::UInt(total.final_live))
-            .set(
-                "verdict",
-                Json::Str(
-                    if exhausted == 0 {
-                        "replayed"
-                    } else {
-                        "undecided"
-                    }
-                    .into(),
-                ),
-            );
-        r.attach_metrics(&s.snapshot());
-        write_report(out, &r)?;
-    }
-    Ok(if exhausted == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(3)
-    })
-}
-
-/// `ops --trace X.hbt`: pull-based streaming replay of a binary op trace.
-/// Only the live engine state and one decode frame are ever resident — the
-/// trace itself is never materialized, so a multi-gigabyte trace replays in
-/// bounded RSS. `--journal` routes a single-instance stream through the
-/// crash-safe durability layer instead.
-fn cmd_ops_stream(c: &Common, path: &str) -> Result<ExitCode, String> {
-    if c.mode != "incremental" {
-        return Err(format!(
-            "{path} is a binary trace; streaming replay is incremental-only — \
-             convert to text with `hetfeas trace convert` for --mode {}",
-            c.mode
-        ));
-    }
-    let alpha = Augmentation::new(c.alpha).map_err(|e| e.to_string())?;
-    let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
-    let trace_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let mut stream = OpStream::new(std::io::BufReader::with_capacity(1 << 20, file))
-        .map_err(|e| format!("{path}: {e}"))?;
-    let mut gas = gas_for(c);
-    let sink = MemorySink::new();
-    println!(
-        "streaming binary trace {path} ({trace_bytes} bytes), policy {}, mode incremental",
-        c.policy.name()
-    );
-
-    if let Some(journal_path) = c.journal.clone() {
-        let opts = durable_opts(c);
-        let result = match c.policy {
-            Policy::Edf => replay_durable_stream(
-                &mut stream,
-                EdfAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsLl => replay_durable_stream(
-                &mut stream,
-                RmsLlAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsHyperbolic => replay_durable_stream(
-                &mut stream,
-                RmsHyperbolicAdmission,
-                alpha,
-                c.policy.key(),
-                opts,
-                journal_store(&journal_path),
-                &mut gas,
-                &sink,
-            ),
-            Policy::RmsRta => {
-                return Err(
-                    "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp"
-                        .into(),
-                )
-            }
-        };
-        let (name, stats, digest) = match result {
-            Ok(v) => v,
-            Err(StreamError::Replay(ReplayError::Exhausted { op_index, cause })) => {
-                println!(
-                    "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                    cause.as_str()
-                );
-                return Ok(ExitCode::from(3));
-            }
-            Err(e) => return Err(format!("{path}: {e}")),
-        };
-        println!(
-            "{}: {} ops journaled+streamed: {} admitted, {} rejected, {} removed, \
-             {} repacks, {} snapshots, {} rollbacks, live {}",
-            name,
-            stats.ops,
-            stats.admitted,
-            stats.rejected,
-            stats.removed,
-            stats.repacks,
-            stats.snapshots,
-            stats.rollbacks,
-            stats.final_live
-        );
-        println!("{}", journal_summary(&sink));
-        println!("journal digest {digest:08x}");
-        if let Some(out) = &c.report {
-            let mut r = RunReport::new("hetfeas", "ops");
-            r.set("input", Json::Str(path.to_string()))
-                .set("policy", Json::Str(c.policy.key().into()))
-                .set("mode", Json::Str("incremental".into()))
-                .set("streaming", Json::Bool(true))
-                .set("trace_bytes", Json::UInt(trace_bytes))
-                .set("journal", Json::Str(journal_path))
-                .set("ops", Json::UInt(stats.ops))
-                .set("admitted", Json::UInt(stats.admitted))
-                .set("rejected", Json::UInt(stats.rejected))
-                .set("removed", Json::UInt(stats.removed))
-                .set("snapshots", Json::UInt(stats.snapshots))
-                .set("rollbacks", Json::UInt(stats.rollbacks))
-                .set("repacks", Json::UInt(stats.repacks))
-                .set("final_live", Json::UInt(stats.final_live))
-                .set("digest", Json::Str(format!("{digest:08x}")))
+            .set("final_live", Json::UInt(total.final_live));
+        if let Some(d) = combined {
+            r.set("combined_digest", Json::Str(format!("{d:08x}")));
+        }
+        if let (Some((j, _)), Some(d)) = (journal, journal_digest) {
+            r.set("journal", Json::Str(j.clone()))
+                .set("digest", Json::Str(format!("{d:08x}")))
                 .set(
                     "journal_compact_slices",
-                    Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_COMPACT_SLICES)),
+                    Json::UInt(s.counter(jm::JOURNAL_COMPACT_SLICES)),
                 )
                 .set(
                     "journal_bytes_reclaimed",
-                    Json::UInt(sink.counter(hetfeas::robust::metrics::JOURNAL_BYTES_RECLAIMED)),
-                )
-                .set("verdict", Json::Str("replayed".into()));
-            r.attach_metrics(&sink.snapshot());
-            write_report(out, &r)?;
+                    Json::UInt(s.counter(jm::JOURNAL_BYTES_RECLAIMED)),
+                );
         }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let result: Result<Vec<StreamSummary>, StreamError> = match c.policy {
-        Policy::Edf => replay_stream(&mut stream, EdfAdmission, alpha, &mut gas, &sink),
-        Policy::RmsLl => replay_stream(&mut stream, RmsLlAdmission, alpha, &mut gas, &sink),
-        Policy::RmsHyperbolic => {
-            replay_stream(&mut stream, RmsHyperbolicAdmission, alpha, &mut gas, &sink)
-        }
-        Policy::RmsRta => {
-            return Err(
-                "--policy rms-rta has no indexed admission; ops supports edf|rms|rms-hyp".into(),
-            )
-        }
-    };
-    let summaries = match result {
-        Ok(v) => v,
-        Err(StreamError::Replay(ReplayError::Exhausted { op_index, cause })) => {
-            println!(
-                "UNDECIDED — budget exhausted ({}) at op {op_index}",
-                cause.as_str()
-            );
-            return Ok(ExitCode::from(3));
-        }
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    let mut total = ReplayStats::default();
-    for s in &summaries {
-        total.merge(&s.stats);
-        if c.verbose {
-            println!(
-                "  {}: {} ops, {} admitted, {} rejected, {} removed, live {}, digest {:08x}",
-                s.name,
-                s.stats.ops,
-                s.stats.admitted,
-                s.stats.rejected,
-                s.stats.removed,
-                s.stats.final_live,
-                s.digest
-            );
-        }
-    }
-    let combined = combine_digests(summaries.iter().map(|s| s.digest));
-    println!(
-        "{} instances streamed, {} ops replayed: {} admitted, {} rejected, {} removed \
-         ({} misses), {} queries ({} hits), {} repacks ({} infeasible), {} snapshots, \
-         {} rollbacks",
-        summaries.len(),
-        total.ops,
-        total.admitted,
-        total.rejected,
-        total.removed,
-        total.remove_misses,
-        total.query_hits + total.query_misses,
-        total.query_hits,
-        total.repacks,
-        total.repacks_infeasible,
-        total.snapshots,
-        total.rollbacks
-    );
-    println!("combined digest {combined:08x}");
-    if let Some(out) = &c.report {
-        let mut r = RunReport::new("hetfeas", "ops");
-        r.set("input", Json::Str(path.to_string()))
-            .set("policy", Json::Str(c.policy.key().into()))
-            .set("mode", Json::Str("incremental".into()))
-            .set("streaming", Json::Bool(true))
-            .set("trace_bytes", Json::UInt(trace_bytes))
-            .set("instances", Json::UInt(summaries.len() as u64))
-            .set("ops", Json::UInt(total.ops))
-            .set("admitted", Json::UInt(total.admitted))
-            .set("rejected", Json::UInt(total.rejected))
-            .set("removed", Json::UInt(total.removed))
-            .set("remove_misses", Json::UInt(total.remove_misses))
-            .set("query_hits", Json::UInt(total.query_hits))
-            .set("query_misses", Json::UInt(total.query_misses))
-            .set("snapshots", Json::UInt(total.snapshots))
-            .set("rollbacks", Json::UInt(total.rollbacks))
-            .set("repacks", Json::UInt(total.repacks))
-            .set("repacks_infeasible", Json::UInt(total.repacks_infeasible))
-            .set("final_live", Json::UInt(total.final_live))
-            .set("combined_digest", Json::Str(format!("{combined:08x}")))
-            .set("verdict", Json::Str("replayed".into()));
-        r.attach_metrics(&sink.snapshot());
+        r.set("verdict", Json::Str(verdict.into()));
+        r.attach_metrics(&s.snapshot());
         write_report(out, &r)?;
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(code)
 }
 
 /// Recover the engine from `path` and summarize it, generic over the

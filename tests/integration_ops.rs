@@ -324,3 +324,79 @@ fn ops_rejects_rms_rta_and_bad_mode() {
     let out = hetfeas(&["ops"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// The line of `stdout` that contains `needle`.
+fn line_with(stdout: &[u8], needle: &str) -> String {
+    let text = String::from_utf8(stdout.to_vec()).unwrap();
+    text.lines()
+        .find(|l| l.contains(needle))
+        .unwrap_or_else(|| panic!("no {needle:?} line in {text}"))
+        .to_string()
+}
+
+#[test]
+fn text_and_binary_traces_print_the_same_summary_and_digests() {
+    let text = write_trace(TRACE);
+    let bin = temp_path("hbt");
+    let out = hetfeas(&["trace", "convert", text.to_str(), "--out", bin.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    let run = |trace: &TempFile| {
+        let out = hetfeas(&["ops", "--trace", trace.to_str()]);
+        assert!(out.status.success(), "{out:?}");
+        (
+            line_with(&out.stdout, "ops replayed"),
+            digest_line(&out.stdout, "combined digest "),
+        )
+    };
+    assert_eq!(run(&text), run(&bin));
+
+    // The journaled run over either format writes the same engine state.
+    let solo = write_trace(SOLO_TRACE);
+    let solo_bin = temp_path("hbt");
+    let out = hetfeas(&[
+        "trace",
+        "convert",
+        solo.to_str(),
+        "--out",
+        solo_bin.to_str(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let journaled = |trace: &TempFile| {
+        let journal = temp_path("journal");
+        let out = hetfeas(&[
+            "ops",
+            "--trace",
+            trace.to_str(),
+            "--journal",
+            journal.to_str(),
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        (
+            line_with(&out.stdout, "ops replayed"),
+            digest_line(&out.stdout, "journal digest "),
+            digest_line(&out.stdout, "combined digest "),
+        )
+    };
+    let (summary, journal_digest, combined) = journaled(&solo);
+    assert_eq!(
+        journaled(&solo_bin),
+        (summary, journal_digest, combined.clone())
+    );
+    // Journaling does not change the engine state an in-memory run reaches.
+    let out = hetfeas(&["ops", "--trace", solo.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(digest_line(&out.stdout, "combined digest "), combined);
+}
+
+#[test]
+fn from_scratch_replays_a_binary_trace_without_a_digest() {
+    let text = write_trace(TRACE);
+    let bin = temp_path("hbt");
+    let out = hetfeas(&["trace", "convert", text.to_str(), "--out", bin.to_str()]);
+    assert!(out.status.success(), "{out:?}");
+    let out = hetfeas(&["ops", "--trace", bin.to_str(), "--mode", "from-scratch"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("ops replayed"), "{stdout}");
+    assert!(!stdout.contains("combined digest"), "{stdout}");
+}

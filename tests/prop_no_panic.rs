@@ -3,7 +3,7 @@
 //! generated instances and on the adversarial [`FaultPlan`] corpus alike.
 
 use hetfeas::analysis::{qpa_schedulable_within, rta_schedulable_within};
-use hetfeas::experiments::{replay_durable, replay_instance, ReplayMode};
+use hetfeas::experiments::{replay_durable, replay_instance, trace_events, ReplayMode};
 use hetfeas::lp::solve_paper_lp_within;
 use hetfeas::model::{parse_op_trace, parse_system, Augmentation, Platform, Ratio, Task, TaskSet};
 use hetfeas::partition::{
@@ -152,9 +152,9 @@ check! {
     // Line-level corruption of a well-formed op trace — dropped,
     // duplicated (duplicate ids), truncated and junk lines, truncated
     // files — yields a diagnostic Err or a valid parse, never a panic;
-    // and whatever still parses replays under a budget, through both the
-    // in-memory engine and the journaled durability layer, without
-    // panicking.
+    // and whatever still parses replays under a budget, through the
+    // in-memory engine, the journaled durability layer and the
+    // from-scratch baseline, without panicking.
     #[test]
     fn corrupted_op_traces_never_panic(
         mutations in vec(
@@ -197,16 +197,17 @@ check! {
         let text = lines.join("\n");
         if let Ok(trace) = parse_op_trace(&text) {
             for inst in &trace.instances {
-                let mut gas = Budget::ops(10_000).gas();
-                let _ = replay_instance(
-                    EdfAdmission, inst, Augmentation::NONE,
-                    ReplayMode::Incremental, &mut gas, &(),
-                );
+                for mode in [ReplayMode::Incremental, ReplayMode::FromScratch] {
+                    let mut gas = Budget::ops(10_000).gas();
+                    let _ = replay_instance(
+                        EdfAdmission, inst, Augmentation::NONE, mode, &mut gas, &(),
+                    );
+                }
                 let mut gas = Budget::ops(10_000).gas();
                 let _ = replay_durable(
-                    EdfAdmission, inst, Augmentation::NONE, "edf",
-                    DurableOptions::default(), Box::new(MemStorage::new()),
-                    &mut gas, &(),
+                    trace_events(std::slice::from_ref(inst)), EdfAdmission,
+                    Augmentation::NONE, "edf", DurableOptions::default(),
+                    Box::new(MemStorage::new()), &mut gas, &(),
                 );
             }
         }
